@@ -2,6 +2,7 @@ package parconn
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"parconn/internal/parallel"
 )
@@ -68,20 +69,29 @@ func BFS(g *Graph, src int32, procs int) (*BFSResult, error) {
 	return res, nil
 }
 
-// bfsLevelParallel expands one BFS level with CAS claiming.
+// bfsLevelParallel expands one BFS level with CAS claiming; each block
+// stages its claims and appends them to nxt in batches.
 func bfsLevelParallel(g *Graph, res *BFSResult, cur, nxt []int32, d int32, procs int) int {
-	var cursor atomicCursor
+	var cursor atomic.Int64
 	parallel.Blocks(procs, len(cur), 256, func(lo, hi int) {
+		out := parallel.NewAppender(nxt, &cursor)
 		for fi := lo; fi < hi; fi++ {
 			v := cur[fi]
 			for _, w := range g.Neighbors(v) {
-				if cursor.claim(res.Dist, w, d) {
+				if claim(res.Dist, w, d) {
 					res.Parent[w] = v
-					//parconn:allow sharedwrite cursor.next reserves a unique slot via atomic add, so no two workers share an index
-					nxt[cursor.next()] = w
+					out.Push(w)
 				}
 			}
 		}
+		out.Flush()
 	})
-	return cursor.len()
+	return int(cursor.Load())
+}
+
+// claim atomically marks w visited at distance d; it reports whether this
+// caller won the claim (Dist doubles as the visited marker).
+func claim(dist []int32, w, d int32) bool {
+	return atomic.LoadInt32(&dist[w]) == -1 &&
+		atomic.CompareAndSwapInt32(&dist[w], -1, d)
 }

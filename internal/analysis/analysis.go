@@ -9,7 +9,9 @@
 //	                accessed atomically everywhere in the package
 //	sharedwrite     closures passed to parallel.For/ForGrain/Blocks/
 //	                WorkerBlocks/Do must not write captured variables unless
-//	                the write is atomic or indexed by a closure-local value
+//	                the write is atomic or indexed by a closure-local value;
+//	                a copy into a captured slice must start at an offset from
+//	                the closure's parameters or an atomic Add reservation
 //	norand          library packages may not import math/rand or call
 //	                time.Now; randomness comes from internal/prand and
 //	                injected seeds

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // sharedWrite flags the canonical fork-join data race: a closure passed to
@@ -15,6 +16,14 @@ import (
 // (nxt[cursor.Add(1)-1]). Everything else — accumulating into a captured
 // scalar, writing a fixed index, storing through a captured pointer — races
 // with the sibling workers.
+//
+// A builtin copy into a captured slice writes a whole range, so it is held
+// to a stricter rule: the lower bound of the destination must come from the
+// closure's own parameters (the block range copy(dst[lo:hi], ...) or a
+// worker-indexed offset) or from an atomic Add in the closure — the staged
+// batch flush end := cursor.Add(k); copy(nxt[end-k:end], buf[:k]). A bound
+// computed from any other closure-local, such as the batch length itself,
+// is the same offset in every worker.
 type sharedWrite struct{}
 
 func (sharedWrite) Name() string { return "sharedwrite" }
@@ -92,6 +101,7 @@ func checkClosure(pass *Pass, lit *ast.FuncLit) []Finding {
 		return found
 	}
 
+	reserved := reservedOffset(pass.Info, lit)
 	var out []Finding
 	checkTarget := func(pos token.Pos, target ast.Expr, what string) {
 		target = unparen(target)
@@ -112,14 +122,19 @@ func checkClosure(pass *Pass, lit *ast.FuncLit) []Finding {
 			return
 		}
 		if slice, ok := target.(*ast.SliceExpr); ok {
-			// copy(dst[lo:hi], ...) style: worker-private iff the bounds are.
-			if obj := rootObject(pass.Info, slice.X); inside(obj) {
+			// copy(dst[lo:hi], ...) style: worker-private iff the range
+			// starts at a per-worker offset (see the type comment).
+			obj := rootObject(pass.Info, slice.X)
+			if inside(obj) || (slice.Low != nil && reserved(slice.Low)) {
 				return
 			}
-			if (slice.Low != nil && derivedInside(slice.Low)) || (slice.High != nil && derivedInside(slice.High)) {
-				return
+			name := "captured variable"
+			if obj != nil {
+				name = obj.Name()
 			}
-			target = slice.X
+			out = append(out, pass.finding(pos, "sharedwrite",
+				"%s to captured %s at an offset that neither the closure's parameters nor an atomic Add reserve; concurrent workers overwrite the same range", what, name))
+			return
 		}
 		obj := rootObject(pass.Info, target)
 		if inside(obj) {
@@ -158,4 +173,78 @@ func checkClosure(pass *Pass, lit *ast.FuncLit) []Finding {
 		return true
 	})
 	return out
+}
+
+// reservedOffset returns a predicate reporting whether an offset expression
+// inside lit is private to one worker: it is computed, through arithmetic,
+// indexing, conversions and closure-local variables, from one of lit's
+// parameters or from the result of an atomic Add. Other calls (len, copy,
+// atomic loads) and captured variables end the derivation.
+func reservedOffset(info *types.Info, lit *ast.FuncLit) func(ast.Expr) bool {
+	params := make(map[types.Object]bool)
+	for _, field := range lit.Type.Params.List {
+		for _, name := range field.Names {
+			params[info.Defs[name]] = true
+		}
+	}
+	// defs collects the expressions assigned to each closure-local.
+	defs := make(map[types.Object][]ast.Expr)
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			if len(x.Lhs) != len(x.Rhs) {
+				return true
+			}
+			for i, lhs := range x.Lhs {
+				if id, ok := unparen(lhs).(*ast.Ident); ok {
+					if obj := rootObject(info, id); obj != nil {
+						defs[obj] = append(defs[obj], x.Rhs[i])
+					}
+				}
+			}
+		case *ast.ValueSpec:
+			for i, name := range x.Names {
+				if i < len(x.Values) {
+					defs[info.Defs[name]] = append(defs[info.Defs[name]], x.Values[i])
+				}
+			}
+		}
+		return true
+	})
+	visiting := make(map[types.Object]bool)
+	var reserved func(ast.Expr) bool
+	reserved = func(e ast.Expr) bool {
+		switch x := unparen(e).(type) {
+		case *ast.Ident:
+			obj := info.Uses[x]
+			if params[obj] {
+				return true
+			}
+			if visiting[obj] {
+				return false
+			}
+			visiting[obj] = true
+			defer delete(visiting, obj)
+			for _, d := range defs[obj] {
+				if reserved(d) {
+					return true
+				}
+			}
+		case *ast.BinaryExpr:
+			return reserved(x.X) || reserved(x.Y)
+		case *ast.UnaryExpr:
+			return reserved(x.X)
+		case *ast.IndexExpr:
+			return reserved(x.Index)
+		case *ast.CallExpr:
+			if tv, ok := info.Types[x.Fun]; ok && tv.IsType() && len(x.Args) == 1 {
+				return reserved(x.Args[0]) // conversion
+			}
+			if sel, ok := x.Fun.(*ast.SelectorExpr); ok && atomicCall(info, x) {
+				return strings.HasPrefix(sel.Sel.Name, "Add")
+			}
+		}
+		return false
+	}
+	return reserved
 }

@@ -80,6 +80,51 @@ func okCopyBlocked(dst, src []int) {
 	})
 }
 
+func okCopyWorkerOffset(dst []int, offsets []int, bufs [][]int) {
+	parallel.For(0, len(bufs), func(i int) {
+		copy(dst[offsets[i]:], bufs[i]) // ok: offset indexed by the worker's own i
+	})
+}
+
+func okCopyReservedBatch(dst []int32, src []int32) {
+	var cursor atomic.Int64
+	parallel.Blocks(0, len(src), 0, func(lo, hi int) {
+		var buf [64]int32
+		k := int64(copy(buf[:], src[lo:hi]))
+		end := cursor.Add(k)
+		copy(dst[end-k:end], buf[:k]) // ok: one atomic add reserved the range
+	})
+}
+
+func okCopyReservedInline(dst []int32, src []int32) {
+	var cursor atomic.Int64
+	parallel.Blocks(0, len(src), 0, func(lo, hi int) {
+		copy(dst[cursor.Add(int64(hi-lo))-int64(hi-lo):], src[lo:hi]) // ok: reserved in place
+	})
+}
+
+func racyCopyBatchLength(dst []int32, src []int32) {
+	parallel.Blocks(0, len(src), 0, func(lo, hi int) {
+		var buf [64]int32
+		k := copy(buf[:], src[lo:hi])
+		copy(dst[k:], buf[:k]) // want "captured dst"
+	})
+}
+
+func racyCopyLoadedOffset(dst []int32, src []int32) {
+	var cursor atomic.Int64
+	parallel.Blocks(0, len(src), 0, func(lo, hi int) {
+		off := cursor.Load()        // a load reserves nothing
+		copy(dst[off:], src[lo:hi]) // want "captured dst"
+	})
+}
+
+func racyCopyNoLowBound(dst []int32, src []int32) {
+	parallel.Blocks(0, len(src), 0, func(lo, hi int) {
+		copy(dst[:hi-lo], src[lo:hi]) // want "captured dst"
+	})
+}
+
 func racyIncrement(counts []int) {
 	parallel.ForGrain(0, 100, 10, func(i int) {
 		counts[len(counts)-1]++ // want "captured counts"

@@ -62,6 +62,7 @@ func (st *bfsState) run(g *graph.Graph, labels []int32, src, label int32, procs 
 			// Bottom-up: every unvisited vertex scans for a neighbor on
 			// the frontier and stops at the first hit.
 			parallel.Blocks(procs, n, 0, func(lo, hi int) {
+				out := parallel.NewAppender(nxt, &cursor)
 				for w := lo; w < hi; w++ {
 					//parconn:allow mixedatomic bottom-up levels are read/owner-write only (Beamer); rounds are separated by fork-join barriers
 					if labels[w] != -1 {
@@ -71,11 +72,12 @@ func (st *bfsState) run(g *graph.Graph, labels []int32, src, label int32, procs 
 						if st.frontRound[u] == r {
 							//parconn:allow mixedatomic only w's own iteration writes labels[w] in a bottom-up level
 							labels[w] = label
-							nxt[cursor.Add(1)-1] = int32(w)
+							out.Push(int32(w))
 							break
 						}
 					}
 				}
+				out.Flush()
 			})
 			newN := int(cursor.Load())
 			parallel.For(procs, newN, func(i int) { st.frontRound[nxt[i]] = r + 1 })
@@ -83,16 +85,18 @@ func (st *bfsState) run(g *graph.Graph, labels []int32, src, label int32, procs 
 			// Top-down: frontier vertices claim unvisited neighbors.
 			front := cur[:curN]
 			parallel.Blocks(procs, curN, 256, func(lo, hi int) {
+				out := parallel.NewAppender(nxt, &cursor)
 				for fi := lo; fi < hi; fi++ {
 					v := front[fi]
 					for _, w := range g.Neighbors(v) {
 						if atomic.LoadInt32(&labels[w]) == -1 &&
 							atomic.CompareAndSwapInt32(&labels[w], -1, label) {
 							st.frontRound[w] = r + 1
-							nxt[cursor.Add(1)-1] = w
+							out.Push(w)
 						}
 					}
 				}
+				out.Flush()
 			})
 		}
 		curN = int(cursor.Load())

@@ -69,6 +69,7 @@ func labelProp(g *graph.Graph, labels []int32, active []int32, procs int) {
 	for round := int32(0); len(active) > 0; round++ {
 		cursor.Store(0)
 		parallel.Blocks(procs, len(active), 256, func(lo, hi int) {
+			out := parallel.NewAppender(nxt, &cursor)
 			for i := lo; i < hi; i++ {
 				v := active[i]
 				lv := atomic.LoadInt32(&labels[v])
@@ -77,11 +78,12 @@ func labelProp(g *graph.Graph, labels []int32, active []int32, procs int) {
 						// w's label dropped: schedule it, once per round.
 						if atomic.LoadInt32(&stamp[w]) != round &&
 							atomic.SwapInt32(&stamp[w], round) != round {
-							nxt[cursor.Add(1)-1] = w
+							out.Push(w)
 						}
 					}
 				}
 			}
+			out.Flush()
 		})
 		k := int(cursor.Load())
 		active = active[:0]

@@ -35,6 +35,7 @@ type arbMachine struct {
 	cursor           atomic.Int64
 	retries          *obs.ShardedInt64
 	liveOut          *obs.ShardedInt64
+	draw             *shiftDraw
 
 	fnPre, fnMain func(lo, hi int)
 }
@@ -42,13 +43,13 @@ type arbMachine struct {
 //parconn:allow hotalloc machine is constructed once per Scratch and recycled across levels and runs
 func newArbMachine() *arbMachine {
 	m := &arbMachine{retries: obs.NewShardedInt64(retryShards),
-		liveOut: obs.NewShardedInt64(retryShards)}
+		liveOut: obs.NewShardedInt64(retryShards), draw: newShiftDraw()}
 	// bfsPre: start new BFS's from the permutation prefix whose simulated
 	// shift falls below the current round (paper lines 5-6).
 	m.fnPre = func(lo, hi int) {
-		perm, c, parents, front := m.perm, m.c, m.parents, m.front
+		perm, c, parents := m.perm, m.c, m.parents
 		base := m.base
-		cursor := &m.cursor
+		out := parallel.NewAppender(m.front, &m.cursor)
 		for i := lo; i < hi; i++ {
 			v := perm[base+i]
 			// perm is a permutation, so only this iteration touches c[v];
@@ -58,9 +59,10 @@ func newArbMachine() *arbMachine {
 				if parents != nil {
 					parents[v] = v
 				}
-				front[cursor.Add(1)-1] = v
+				out.Push(v)
 			}
 		}
+		out.Flush()
 	}
 	// bfsMain: single pass over the frontier's edges (paper lines 9-20).
 	// Lost CAS races accumulate in a block-local counter flushed once per
@@ -68,7 +70,7 @@ func newArbMachine() *arbMachine {
 	m.fnMain = func(lo, hi int) {
 		g, c, parents, cur, nxt := m.g, m.c, m.parents, m.cur, m.nxt
 		procs := m.procs
-		cursor := &m.cursor
+		out := parallel.NewAppender(nxt, &m.cursor)
 		var casFail, kept int64
 		for fi := lo; fi < hi; fi++ {
 			v := cur[fi]
@@ -76,7 +78,10 @@ func newArbMachine() *arbMachine {
 			start := g.Offs[v]
 			d := int64(g.Deg[v])
 			if edgePar := m.edgeParallel; edgePar > 0 && d >= int64(edgePar) {
-				kept += processEdgesParallel(g, c, parents, v, cv, nxt, cursor, procs)
+				// Publish what this block staged so far first, so a serial
+				// section keeps appending in scan order.
+				out.Flush()
+				kept += processEdgesParallel(g, c, parents, v, cv, nxt, &m.cursor, procs)
 				continue
 			}
 			var k int64
@@ -87,7 +92,7 @@ func newArbMachine() *arbMachine {
 						if parents != nil {
 							parents[w] = v
 						}
-						nxt[cursor.Add(1)-1] = w
+						out.Push(w)
 						continue
 					}
 					casFail++ // raced for w and lost to another frontier vertex
@@ -102,6 +107,7 @@ func newArbMachine() *arbMachine {
 			g.Deg[v] = int32(k)
 			kept += k
 		}
+		out.Flush()
 		sh := retryShard(lo)
 		m.retries.Add(sh, casFail)
 		// Every vertex passes through exactly one fnMain as a frontier
@@ -152,7 +158,7 @@ func (m *arbMachine) run(g *WGraph, opt Options) Result {
 		parallel.Fill(procs, parents, unvisited)
 	}
 	m.c, m.parents = c, parents
-	sh := newShifts(n, opt.Beta, opt.Seed, procs, ws)
+	sh := m.draw.newShifts(pool, n, opt.Beta, opt.Seed, procs, ws)
 	m.perm = sh.order
 	// Double-buffered frontier: cur = bufs[curBuf][:curN]; the next frontier
 	// accumulates in the other buffer through an atomic cursor.

@@ -24,6 +24,8 @@ package decomp
 
 import (
 	"fmt"
+	"math"
+	"sync/atomic"
 	"time"
 
 	"parconn/internal/obs"
@@ -285,21 +287,52 @@ type shifts struct {
 	cum   []int32
 }
 
-// newShifts draws its scratch (deltas, counting-sort arrays) and its
-// results (order, cum) from ws; the scratch is released before returning,
-// and the caller releases order and cum via shifts.release when the
-// decomposition's round loop ends.
-func newShifts(n int, beta float64, seed uint64, procs int, ws *workspace.Arena) shifts {
-	deltas := ws.Float64(n)
-	parallel.Blocks(procs, n, 0, func(lo, hi int) {
+// shiftDraw is the parallel draw of the shifts, with its loop body bound
+// once per machine (see Scratch) so a level allocates no closure. Each block
+// also folds its maximum into dmaxBits, one CAS per block, which replaces a
+// separate max-reduction pass.
+type shiftDraw struct {
+	deltas   []float64
+	beta     float64
+	seed     uint64
+	dmaxBits atomic.Uint64 // math.Float64bits of the largest delta drawn so far
+	fn       func(lo, hi int)
+}
+
+//parconn:allow hotalloc the draw loop is bound once per machine, which a Scratch recycles across levels and runs
+func newShiftDraw() *shiftDraw {
+	d := &shiftDraw{}
+	d.fn = func(lo, hi int) {
+		deltas, beta, seed := d.deltas, d.beta, d.seed
+		local := 0.0
 		for v := lo; v < hi; v++ {
-			deltas[v] = prand.ExpFromUniform(prand.Hash64(seed^(uint64(v)+0x51ed2701)), beta)
+			x := prand.ExpFromUniform(prand.Hash64(seed^(uint64(v)+0x51ed2701)), beta)
+			deltas[v] = x
+			local = max(local, x)
 		}
-	})
-	dmax := 0.0
-	if n > 0 {
-		dmax = parallel.Max(procs, deltas)
+		for {
+			old := d.dmaxBits.Load()
+			if local <= math.Float64frombits(old) ||
+				d.dmaxBits.CompareAndSwap(old, math.Float64bits(local)) {
+				return
+			}
+		}
 	}
+	return d
+}
+
+// newShifts draws the shifts on pool; its scratch (deltas, counting-sort
+// arrays) and its results (order, cum) come from ws. The scratch is
+// released before returning, and the caller releases order and cum via
+// shifts.release when the decomposition's round loop ends.
+func (d *shiftDraw) newShifts(pool *parallel.Pool, n int, beta float64, seed uint64, procs int, ws *workspace.Arena) shifts {
+	deltas := ws.Float64(n)
+	d.deltas, d.beta, d.seed = deltas, beta, seed
+	// Every delta is >= 0, so 0 is a neutral start for the max.
+	d.dmaxBits.Store(0)
+	pool.Blocks(procs, n, 0, d.fn)
+	dmax := math.Float64frombits(d.dmaxBits.Load())
+	d.deltas = nil
 	rounds := int(dmax) + 1
 	// Counting sort by start round (sequential: O(n + rounds), a tiny
 	// fraction of a decomposition's work, and proc-count independent).

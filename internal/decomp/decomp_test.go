@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"parconn/internal/graph"
+	"parconn/internal/parallel"
 	"parconn/internal/workspace"
 )
 
@@ -337,7 +338,7 @@ func TestDecomposeRejectsBadOptions(t *testing.T) {
 func TestShiftsProperties(t *testing.T) {
 	const n = 100000
 	const beta = 0.1
-	s := newShifts(n, beta, 42, 0, workspace.New())
+	s := newShiftDraw().newShifts(parallel.Default(), n, beta, 42, 0, workspace.New())
 	if len(s.order) != n {
 		t.Fatalf("order length %d", len(s.order))
 	}
@@ -385,7 +386,7 @@ func TestShiftsProperties(t *testing.T) {
 		t.Fatalf("final chunk %d too small for exponential growth", last)
 	}
 	// Determinism per seed.
-	s2 := newShifts(n, beta, 42, 4, workspace.New())
+	s2 := newShiftDraw().newShifts(parallel.Default(), n, beta, 42, 4, workspace.New())
 	for i := range s.order {
 		if s.order[i] != s2.order[i] {
 			t.Fatalf("order differs at %d across proc counts", i)
@@ -395,7 +396,7 @@ func TestShiftsProperties(t *testing.T) {
 
 func TestShiftsTinyN(t *testing.T) {
 	for n := 0; n <= 3; n++ {
-		s := newShifts(n, 0.5, 1, 1, workspace.New())
+		s := newShiftDraw().newShifts(parallel.Default(), n, 0.5, 1, 1, workspace.New())
 		if len(s.order) != n {
 			t.Fatalf("n=%d: order length %d", n, len(s.order))
 		}
@@ -408,7 +409,7 @@ func TestShiftsTinyN(t *testing.T) {
 	// out on a stubborn 2-vertex remainder (see shifts doc comment).
 	separated := false
 	for seed := uint64(0); seed < 64 && !separated; seed++ {
-		s := newShifts(2, 0.9, seed, 1, workspace.New())
+		s := newShiftDraw().newShifts(parallel.Default(), 2, 0.9, seed, 1, workspace.New())
 		separated = s.end(0) == 1
 	}
 	if !separated {

@@ -19,6 +19,7 @@ func processEdgesParallel(g *WGraph, c, parents []int32, v, cv int32, nxt []int3
 	start := g.Offs[v]
 	seg := g.Adj[start : start+int64(g.Deg[v])]
 	parallel.Blocks(procs, len(seg), 4096, func(lo, hi int) {
+		out := parallel.NewAppender(nxt, cursor)
 		for i := lo; i < hi; i++ {
 			w := seg[i]
 			if atomic.LoadInt32(&c[w]) == unvisited &&
@@ -26,7 +27,7 @@ func processEdgesParallel(g *WGraph, c, parents []int32, v, cv int32, nxt []int3
 				if parents != nil {
 					parents[w] = v
 				}
-				nxt[cursor.Add(1)-1] = w
+				out.Push(w)
 				seg[i] = -1 // claimed: intra-component, delete
 			} else if cw := atomic.LoadInt32(&c[w]); cw != cv {
 				seg[i] = cw // inter-component: keep, relabeled
@@ -34,6 +35,7 @@ func processEdgesParallel(g *WGraph, c, parents []int32, v, cv int32, nxt []int3
 				seg[i] = -1 // intra-component, delete
 			}
 		}
+		out.Flush()
 	})
 	//parconn:allow hotalloc pack predicate closure is the documented per-call cost of the optional edge-parallel path
 	kept := parallel.Pack(procs, seg, func(i int) bool { return seg[i] >= 0 })

@@ -44,6 +44,7 @@ type hybridMachine struct {
 	cursor              atomic.Int64
 	retries             *obs.ShardedInt64
 	liveOut             *obs.ShardedInt64
+	draw                *shiftDraw
 
 	fnPre, fnDense, fnDenseFront, fnSparse, fnFilter func(lo, hi int)
 }
@@ -51,13 +52,13 @@ type hybridMachine struct {
 //parconn:allow hotalloc machine is constructed once per Scratch and recycled across levels and runs
 func newHybridMachine() *hybridMachine {
 	m := &hybridMachine{retries: obs.NewShardedInt64(retryShards),
-		liveOut: obs.NewShardedInt64(retryShards)}
+		liveOut: obs.NewShardedInt64(retryShards), draw: newShiftDraw()}
 	// bfsPre: start new BFS's from the permutation prefix whose simulated
 	// shift falls below the current round (paper lines 5-6).
 	m.fnPre = func(lo, hi int) {
-		perm, c, frontRound, front := m.perm, m.c, m.frontRound, m.front
+		perm, c, frontRound := m.perm, m.c, m.frontRound
 		base, r32 := m.base, m.r32
-		cursor := &m.cursor
+		out := parallel.NewAppender(m.front, &m.cursor)
 		for i := lo; i < hi; i++ {
 			v := perm[base+i]
 			// perm is a permutation, so only this iteration touches c[v];
@@ -65,9 +66,10 @@ func newHybridMachine() *hybridMachine {
 			if c[v] == unvisited {
 				c[v] = v
 				frontRound[v] = r32
-				front[cursor.Add(1)-1] = v
+				out.Push(v)
 			}
 		}
+		out.Flush()
 	}
 	// Read-based pass with fused edge deletion: every unvisited vertex
 	// looks for any neighbor on the current frontier and adopts its
@@ -79,9 +81,9 @@ func newHybridMachine() *hybridMachine {
 	// On the dominant dense level-0 rounds this replaces the separate
 	// decompose-then-filterEdges sweeps with one fused pass.
 	m.fnDense = func(lo, hi int) {
-		g, c, frontRound, nxt := m.g, m.c, m.frontRound, m.nxt
+		g, c, frontRound := m.g, m.c, m.frontRound
 		r32 := m.r32
-		cursor := &m.cursor
+		out := parallel.NewAppender(m.nxt, &m.cursor)
 		for w := lo; w < hi; w++ {
 			// Only w's own iteration writes c[w] during the dense pass, so
 			// the plain read cannot tear against the owner store below.
@@ -106,7 +108,7 @@ func newHybridMachine() *hybridMachine {
 			// read neighbors' slots, and they must observe either
 			// unvisited or the final label.
 			atomic.StoreInt32(&c[w], cw)
-			nxt[cursor.Add(1)-1] = int32(w)
+			out.Push(int32(w))
 			var k int64
 			for i := int64(0); i < d; i++ {
 				u := g.Adj[start+i]
@@ -128,6 +130,7 @@ func newHybridMachine() *hybridMachine {
 			}
 			g.Deg[w] = int32(k)
 		}
+		out.Flush()
 	}
 	// Stamp the dense round's new frontier with its join round.
 	m.fnDenseFront = func(lo, hi int) {
@@ -144,9 +147,9 @@ func newHybridMachine() *hybridMachine {
 	// lists. Lost CAS races accumulate in a block-local counter flushed once
 	// per claimed block — never a Recorder call from inside the section.
 	m.fnSparse = func(lo, hi int) {
-		g, c, frontRound, cur, nxt := m.g, m.c, m.frontRound, m.cur, m.nxt
+		g, c, frontRound, cur := m.g, m.c, m.frontRound, m.cur
 		r32next := m.r32next
-		cursor := &m.cursor
+		out := parallel.NewAppender(m.nxt, &m.cursor)
 		var casFail, kept int64
 		for fi := lo; fi < hi; fi++ {
 			v := cur[fi]
@@ -166,7 +169,7 @@ func newHybridMachine() *hybridMachine {
 				if atomic.LoadInt32(&c[w]) == unvisited {
 					if atomic.CompareAndSwapInt32(&c[w], unvisited, cv) {
 						frontRound[w] = r32next
-						nxt[cursor.Add(1)-1] = w
+						out.Push(w)
 						continue
 					}
 					casFail++ // raced for w and lost to another frontier vertex
@@ -184,6 +187,7 @@ func newHybridMachine() *hybridMachine {
 			// rounds and test equality with a round number, never -2.
 			frontRound[v] = fullyClassified
 		}
+		out.Flush()
 		sh := retryShard(lo)
 		m.retries.Add(sh, casFail)
 		// A fullyClassified vertex's degree is final here and filterEdges
@@ -264,7 +268,7 @@ func (m *hybridMachine) run(g *WGraph, opt Options) Result {
 	frontRound := ws.Int32(n)
 	parallel.Fill(procs, frontRound, int32(-1))
 	m.c, m.frontRound = c, frontRound
-	sh := newShifts(n, opt.Beta, opt.Seed, procs, ws)
+	sh := m.draw.newShifts(pool, n, opt.Beta, opt.Seed, procs, ws)
 	m.perm = sh.order
 	var bufs [2][]int32
 	bufs[0] = ws.Int32(n)

@@ -70,6 +70,7 @@ type minMachine struct {
 	cursor          atomic.Int64
 	retries         *obs.ShardedInt64
 	liveOut         *obs.ShardedInt64
+	draw            *shiftDraw
 	fnPre, fnPhase1 func(lo, hi int)
 	fnPhase2        func(lo, hi int)
 	fnUnsign        func(lo, hi int)
@@ -79,22 +80,23 @@ type minMachine struct {
 //parconn:allow hotalloc machine is constructed once per Scratch and recycled across levels and runs
 func newMinMachine() *minMachine {
 	m := &minMachine{retries: obs.NewShardedInt64(retryShards),
-		liveOut: obs.NewShardedInt64(retryShards)}
+		liveOut: obs.NewShardedInt64(retryShards), draw: newShiftDraw()}
 	// bfsPre: start new BFS's from the permutation prefix whose simulated
 	// shift falls below the current round.
 	m.fnPre = func(lo, hi int) {
-		perm, c, front := m.perm, m.c, m.front
+		perm, c := m.perm, m.c
 		base := m.base
-		cursor := &m.cursor
+		out := parallel.NewAppender(m.front, &m.cursor)
 		for i := lo; i < hi; i++ {
 			v := perm[base+i]
 			// perm is a permutation, so only this iteration touches c[v];
 			// CAS phases are barrier-separated from this plain-write pass.
 			if pairC1(c[v]) != -1 {
 				c[v] = packPair(-1, v)
-				front[cursor.Add(1)-1] = v
+				out.Push(v)
 			}
 		}
+		out.Flush()
 	}
 	// Phase 1 (paper lines 9-23): mark unvisited neighbors with writeMin;
 	// edges to already-visited neighbors are classified now.
@@ -138,8 +140,8 @@ func newMinMachine() *minMachine {
 	// Phase 2 (paper lines 24-39): the centers whose mark survived claim
 	// their neighbors with a CAS; remaining edges are classified.
 	m.fnPhase2 = func(lo, hi int) {
-		g, c, deltaFrac, cur, nxt := m.g, m.c, m.deltaFrac, m.cur, m.nxt
-		cursor := &m.cursor
+		g, c, deltaFrac, cur := m.g, m.c, m.deltaFrac, m.cur
+		out := parallel.NewAppender(m.nxt, &m.cursor)
 		var casFail, kept int64
 		for fi := lo; fi < hi; fi++ {
 			v := cur[fi]
@@ -162,7 +164,7 @@ func newMinMachine() *minMachine {
 					if atomic.CompareAndSwapInt64(&c[w], expected, won) {
 						// v won w: add to the next frontier; the edge is
 						// intra-component and deleted.
-						nxt[cursor.Add(1)-1] = w
+						out.Push(w)
 						continue
 					}
 					// A same-component peer got there first; the slot
@@ -178,6 +180,7 @@ func newMinMachine() *minMachine {
 			g.Deg[v] = int32(k)
 			kept += k
 		}
+		out.Flush()
 		sh := retryShard(lo)
 		m.retries.Add(sh, casFail)
 		// Phase 2 finalizes every frontier vertex's degree exactly once, so
@@ -243,7 +246,7 @@ func (m *minMachine) run(g *WGraph, opt Options) Result {
 		}
 	})
 	m.c, m.deltaFrac = c, deltaFrac
-	sh := newShifts(n, opt.Beta, opt.Seed, procs, ws)
+	sh := m.draw.newShifts(pool, n, opt.Beta, opt.Seed, procs, ws)
 	m.perm = sh.order
 	var bufs [2][]int32
 	bufs[0] = ws.Int32(n)

@@ -131,7 +131,6 @@ func (p *Pool) WorkerBlocks(procs, n int, fn func(worker, lo, hi int)) int {
 		fn(0, 0, n)
 		return 1
 	}
-	//parconn:allow hotalloc per-section task descriptor; part of the scheduler's budgeted steady-state allocations
 	p.exec(&task{fnWorker: fn, n: n, nblocks: used}, used)
 	return used
 }
@@ -267,7 +266,6 @@ func Max[T Number](procs int, xs []T) T {
 		}
 		return m
 	}
-	//parconn:allow hotalloc per-call partial-max array sized by procs; budgeted reduction scratch
 	partial := make([]T, procs)
 	// len(xs) >= DefaultGrain >= procs here, so every worker chunk is
 	// nonempty and partial[:used] is fully initialized.
