@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-short bench bench-smoke speedup-smoke trace-smoke trace-regression serve-smoke serve-regression churn-smoke churn-regression metrics-smoke slo-regression vet check fmt fmt-check repro repro-quick examples clean
+.PHONY: all build test race race-short bench bench-smoke speedup-smoke trace-smoke trace-regression serve-smoke serve-regression churn-smoke churn-regression metrics-smoke slo-regression perfbench-check vet check fmt fmt-check repro repro-quick examples clean
 
 all: check test build
 
@@ -125,6 +125,12 @@ slo-regression:
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/parconnvet ./...
+
+# perfbench/ is a Go module of its own, so the root `go vet ./...` and
+# `go test ./...` never reach it; its tests check that the benchmark
+# program matches BENCHMARK.json.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Machine-readable findings report (what CI uploads as an artifact) and the
 # inferred hot-path/parallel-context sets with per-function provenance.

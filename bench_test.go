@@ -8,6 +8,7 @@ package parconn
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -16,13 +17,19 @@ import (
 // ~100x below the paper).
 func benchGraphs() map[string]*Graph {
 	return map[string]*Graph{
-		"random":    RandomGraph(200_000, 5, 0xB01),
-		"rMat":      RMatGraph(18, RMatOptions{EdgeFactor: 5, Seed: 0xB02, KeepDuplicates: true}),
+		"random":    benchRandom(),
+		"rMat":      benchRMat(),
 		"rMat2":     RMatGraph(12, RMatOptions{EdgeFactor: 200, Seed: 0xB03, KeepDuplicates: true}),
 		"3D-grid":   Grid3DGraph(58, 0xB04),
 		"line":      LineGraph(400_000, 0xB05),
 		"com-Orkut": SocialGraph(14, 0xB06),
 	}
+}
+
+func benchRandom() *Graph { return RandomGraph(200_000, 5, 0xB01) }
+
+func benchRMat() *Graph {
+	return RMatGraph(18, RMatOptions{EdgeFactor: 5, Seed: 0xB02, KeepDuplicates: true})
 }
 
 var table1Order = []string{"random", "rMat", "rMat2", "3D-grid", "line", "com-Orkut"}
@@ -74,7 +81,7 @@ func BenchmarkTable2(b *testing.B) {
 // allocations are the result labels handed to the caller (which cannot be
 // recycled) plus per-parallel-section bookkeeping.
 func BenchmarkCCAllocs(b *testing.B) {
-	graphs := benchGraphs()
+	graphs := map[string]*Graph{"rMat": benchRMat(), "random": benchRandom()}
 	for _, gname := range []string{"rMat", "random"} {
 		g := graphs[gname]
 		for _, alg := range []Algorithm{DecompArbHybrid, DecompArb} {
@@ -93,6 +100,59 @@ func BenchmarkCCAllocs(b *testing.B) {
 			})
 		}
 	}
+}
+
+// TestCCAllocsProcs2 pins BenchmarkCCAllocs' inputs at two workers. Beyond
+// procs=1's four allocations (the result labels among them), every parallel
+// section that forks costs two in Pool.exec, its task and its done channel,
+// so the count tracks the number of forked sections. The
+// ceilings are the counts measured on a 2-CPU host (rMat 143 and 136,
+// random 61 and 52); a host with one CPU forks nothing and stays below.
+func TestCCAllocsProcs2(t *testing.T) {
+	if testing.Short() {
+		t.Skip("labels two 10^6-edge graphs several times; the race detector's runtime also allocates")
+	}
+	graphs := map[string]*Graph{"rMat": benchRMat(), "random": benchRandom()}
+	ceilings := []struct {
+		graph string
+		alg   Algorithm
+		max   uint64
+	}{
+		{"rMat", DecompArbHybrid, 143},
+		{"rMat", DecompArb, 136},
+		{"random", DecompArbHybrid, 61},
+		{"random", DecompArb, 52},
+	}
+	for _, c := range ceilings {
+		opt := Options{Algorithm: c.alg, Seed: 42, Procs: 2}
+		got := allocsPerLabeling(t, graphs[c.graph], opt)
+		t.Logf("%s/%s: %d allocs per labeling", c.graph, c.alg, got)
+		if got > c.max {
+			t.Errorf("%s/%s at procs=2: %d allocs per labeling, ceiling %d", c.graph, c.alg, got, c.max)
+		}
+	}
+}
+
+// allocsPerLabeling is the smallest heap allocation count of three warm
+// labelings. Unlike testing.AllocsPerRun it leaves GOMAXPROCS alone, so the
+// sections really fork; the minimum drops the odd extra section that a
+// timing-driven grain choice forks in one run and not the next.
+func allocsPerLabeling(t *testing.T, g *Graph, opt Options) uint64 {
+	t.Helper()
+	if _, err := ConnectedComponents(g, opt); err != nil {
+		t.Fatal(err)
+	}
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&before)
+		if _, err := ConnectedComponents(g, opt); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	return least
 }
 
 // BenchmarkFig2Threads measures the decomposition CC at several worker

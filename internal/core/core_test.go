@@ -120,6 +120,22 @@ func TestCCProcsAgree(t *testing.T) {
 	}
 }
 
+// TestCCMixedDirections labels a star joined with a line, whose hybrid
+// rounds go sparse, dense (the star's leaves) and sparse again (the line),
+// at several dense thresholds and worker counts, against the oracle.
+func TestCCMixedDirections(t *testing.T) {
+	g := graph.Components(graph.Star(6000), graph.Line(4000, 9))
+	for _, frac := range []float64{0.01, 0.2, 0.5} {
+		for _, procs := range []int{1, 2, 4, 8} {
+			labels, err := CC(g, Options{Variant: decomp.ArbHybrid, DenseFrac: frac, Seed: 5, Procs: procs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkLabels(t, g, labels)
+		}
+	}
+}
+
 func TestCCLevelStats(t *testing.T) {
 	g := graph.Random(5000, 5, 11)
 	var levels []LevelStat

@@ -64,48 +64,54 @@ func newArbMachine() *arbMachine {
 		}
 		out.Flush()
 	}
-	// bfsMain: single pass over the frontier's edges (paper lines 9-20).
-	// Lost CAS races accumulate in a block-local counter flushed once per
-	// claimed block — never a Recorder call from inside the section.
+	// bfsMain: single pass over the frontier's edges (paper lines 9-20),
+	// walked in staged batches (stagedLists; hubs bound for the
+	// edge-parallel path are not touched). Lost CAS races accumulate in a
+	// block-local counter flushed once per claimed block — never a Recorder
+	// call from inside the section.
 	m.fnMain = func(lo, hi int) {
 		g, c, parents, cur, nxt := m.g, m.c, m.parents, m.cur, m.nxt
 		procs := m.procs
+		edgePar := int64(m.edgeParallel)
 		out := parallel.NewAppender(nxt, &m.cursor)
 		var casFail, kept int64
-		for fi := lo; fi < hi; fi++ {
-			v := cur[fi]
-			cv := c[v] //parconn:allow mixedatomic c[v] was claimed by CAS in an earlier round; the join barrier publishes it
-			start := g.Offs[v]
-			d := int64(g.Deg[v])
-			if edgePar := m.edgeParallel; edgePar > 0 && d >= int64(edgePar) {
-				// Publish what this block staged so far first, so a serial
-				// section keeps appending in scan order.
-				out.Flush()
-				kept += processEdgesParallel(g, c, parents, v, cv, nxt, &m.cursor, procs)
-				continue
-			}
-			var k int64
-			for i := int64(0); i < d; i++ {
-				w := g.Adj[start+i]
-				if atomic.LoadInt32(&c[w]) == unvisited {
-					if atomic.CompareAndSwapInt32(&c[w], unvisited, cv) {
-						if parents != nil {
-							parents[w] = v
+		var st stagedLists
+		for b := lo; b < hi; b += claimBatch {
+			batch := cur[b:min(b+claimBatch, hi)]
+			st.stage(g, c, batch, edgePar)
+			for j, v := range batch {
+				cv := c[v] //parconn:allow mixedatomic c[v] was claimed by CAS in an earlier round; the join barrier publishes it
+				start, d := st.start[j], st.deg[j]
+				if edgePar > 0 && d >= edgePar {
+					// Publish what this block staged so far first, so a
+					// serial section keeps appending in scan order.
+					out.Flush()
+					kept += processEdgesParallel(g, c, parents, v, cv, nxt, &m.cursor, procs)
+					continue
+				}
+				var k int64
+				for i := int64(0); i < d; i++ {
+					w := g.Adj[start+i]
+					if atomic.LoadInt32(&c[w]) == unvisited {
+						if atomic.CompareAndSwapInt32(&c[w], unvisited, cv) {
+							if parents != nil {
+								parents[w] = v
+							}
+							out.Push(w)
+							continue
 						}
-						out.Push(w)
-						continue
+						casFail++ // raced for w and lost to another frontier vertex
 					}
-					casFail++ // raced for w and lost to another frontier vertex
+					if cw := atomic.LoadInt32(&c[w]); cw != cv {
+						// Inter-component edge: keep it, relabeled to the
+						// neighbor's component id (paper line 18).
+						g.Adj[start+k] = cw
+						k++
+					}
 				}
-				if cw := atomic.LoadInt32(&c[w]); cw != cv {
-					// Inter-component edge: keep it, relabeled to the
-					// neighbor's component id (paper line 18).
-					g.Adj[start+k] = cw
-					k++
-				}
+				g.Deg[v] = int32(k)
+				kept += k
 			}
-			g.Deg[v] = int32(k)
-			kept += k
 		}
 		out.Flush()
 		sh := retryShard(lo)

@@ -90,6 +90,9 @@ func checkDecomposition(t *testing.T, g0 *graph.Graph, w *WGraph, res Result, ro
 	var gotCut int64
 	for v := 0; v < n; v++ {
 		start := w.Offs[v]
+		if w.Deg[v] < 0 {
+			t.Fatalf("Deg[%d]=%d is negative: a fully-classified mark was left behind", v, w.Deg[v])
+		}
 		if int64(w.Deg[v]) > w.Offs[v+1]-start {
 			t.Fatalf("Deg[%d]=%d exceeds segment", v, w.Deg[v])
 		}
@@ -106,6 +109,9 @@ func checkDecomposition(t *testing.T, g0 *graph.Graph, w *WGraph, res Result, ro
 	}
 	if gotCut != wantCut {
 		t.Fatalf("kept %d inter edges, induced cut is %d", gotCut, wantCut)
+	}
+	if res.EdgesOut != gotCut {
+		t.Fatalf("Result.EdgesOut=%d, but the degrees sum to %d", res.EdgesOut, gotCut)
 	}
 
 	// Round stats, when collected, must be internally consistent.

@@ -18,20 +18,22 @@ import (
 // intra- or inter-component; dense rounds skip that work, so a filterEdges
 // post-pass classifies whatever the BFS did not touch. A sparse round
 // classifies the whole list of every frontier vertex it processes, so it
-// writes plain relabeled entries and stamps the vertex fullyClassified in
-// frontRound; filterEdges skips such vertices entirely. (The paper's §4
-// per-edge sign marks survive only for the fused dense pass, which leaves
-// mixed classified/raw lists behind.)
+// writes plain relabeled entries and records the vertex as fully classified
+// by storing its final degree k as Deg[v] = ^k (negative): the claim loop
+// already holds that line. filterEdges restores Deg[v] and skips the list.
+// (The paper's §4 per-edge sign marks survive only for the fused dense
+// pass, which leaves mixed classified/raw lists behind.)
+//
+// Only the dense pass reads frontier membership, so only a dense round
+// writes it: frontRound is filled at a level's first dense round and the
+// current frontier is stamped with its round right before each dense pass.
+// The sparse and pre passes store nothing outside c, the frontier and the
+// processed vertex's own list — no random store queues ahead of a claim
+// CAS (DESIGN.md §9, "Latency-tolerant claim loop").
 //
 // The loop bodies are bound once (see Scratch); per-round state flows
 // through the fields, written only by the coordinator between parallel
 // sections.
-
-// fullyClassified is the frontRound stamp a sparse round leaves on a
-// frontier vertex it has processed: the vertex's surviving entries are all
-// plain relabeled component ids, so filterEdges skips it. It can never
-// collide with a round number (>= 0) or the -1 "never on a frontier" fill.
-const fullyClassified = int32(-2)
 
 type hybridMachine struct {
 	procs int
@@ -40,7 +42,7 @@ type hybridMachine struct {
 	c, frontRound, perm []int32
 	front, cur, nxt     []int32
 	base                int
-	r32, r32next        int32
+	r32                 int32
 	cursor              atomic.Int64
 	retries             *obs.ShardedInt64
 	liveOut             *obs.ShardedInt64
@@ -56,8 +58,8 @@ func newHybridMachine() *hybridMachine {
 	// bfsPre: start new BFS's from the permutation prefix whose simulated
 	// shift falls below the current round (paper lines 5-6).
 	m.fnPre = func(lo, hi int) {
-		perm, c, frontRound := m.perm, m.c, m.frontRound
-		base, r32 := m.base, m.r32
+		perm, c := m.perm, m.c
+		base := m.base
 		out := parallel.NewAppender(m.front, &m.cursor)
 		for i := lo; i < hi; i++ {
 			v := perm[base+i]
@@ -65,7 +67,6 @@ func newHybridMachine() *hybridMachine {
 			// CAS rounds are barrier-separated from this plain-write pass.
 			if c[v] == unvisited {
 				c[v] = v
-				frontRound[v] = r32
 				out.Push(v)
 			}
 		}
@@ -132,88 +133,91 @@ func newHybridMachine() *hybridMachine {
 		}
 		out.Flush()
 	}
-	// Stamp the dense round's new frontier with its join round.
+	// Stamp the dense round's frontier (the previous round's claims plus
+	// this round's new centers) with the round number the dense pass tests.
 	m.fnDenseFront = func(lo, hi int) {
-		nxt, frontRound, r32next := m.nxt, m.frontRound, m.r32next
-		for i := lo; i < hi; i++ {
-			frontRound[nxt[i]] = r32next
+		cur, frontRound, r32 := m.cur, m.frontRound, m.r32
+		for _, v := range cur[lo:hi] {
+			frontRound[v] = r32
 		}
 	}
-	// Write-based pass: Decomp-Arb's single CAS pass. It classifies every
-	// surviving edge of the frontier vertex it processes, so it writes plain
-	// relabeled entries (unmarking any a fused dense round already
-	// classified) and stamps the vertex fullyClassified — filterEdges skips
-	// it, which on skewed graphs removes a whole post-pass over the hub
-	// lists. Lost CAS races accumulate in a block-local counter flushed once
-	// per claimed block — never a Recorder call from inside the section.
+	// Write-based pass: Decomp-Arb's single CAS pass, walked in staged
+	// batches (stagedLists). It classifies every surviving edge of the
+	// frontier vertex it processes, so it writes plain relabeled entries
+	// (unmarking any a fused dense round already classified) and stores the
+	// final degree complemented — filterEdges skips the list, which on skewed
+	// graphs removes a whole post-pass over the hub lists. Lost CAS races
+	// accumulate in a block-local counter flushed once per claimed block —
+	// never a Recorder call from inside the section.
 	m.fnSparse = func(lo, hi int) {
-		g, c, frontRound, cur := m.g, m.c, m.frontRound, m.cur
-		r32next := m.r32next
+		g, c, cur := m.g, m.c, m.cur
 		out := parallel.NewAppender(m.nxt, &m.cursor)
 		var casFail, kept int64
-		for fi := lo; fi < hi; fi++ {
-			v := cur[fi]
-			cv := c[v] //parconn:allow mixedatomic c[v] was claimed by CAS in an earlier round; the join barrier publishes it
-			start := g.Offs[v]
-			d := int64(g.Deg[v])
-			var k int64
-			for i := int64(0); i < d; i++ {
-				w := g.Adj[start+i]
-				if w < 0 {
-					// Already classified by a fused dense round (v adopted
-					// there and pre-filtered its list); unmark in place.
-					g.Adj[start+k] = -w - 1
-					k++
-					continue
-				}
-				if atomic.LoadInt32(&c[w]) == unvisited {
-					if atomic.CompareAndSwapInt32(&c[w], unvisited, cv) {
-						frontRound[w] = r32next
-						out.Push(w)
+		var st stagedLists
+		for b := lo; b < hi; b += claimBatch {
+			batch := cur[b:min(b+claimBatch, hi)]
+			st.stage(g, c, batch, 0)
+			for j, v := range batch {
+				cv := c[v] //parconn:allow mixedatomic c[v] was claimed by CAS in an earlier round; the join barrier publishes it
+				start, d := st.start[j], st.deg[j]
+				var k int64
+				for i := int64(0); i < d; i++ {
+					w := g.Adj[start+i]
+					if w < 0 {
+						// Already classified by a fused dense round (v
+						// adopted there and pre-filtered its list); unmark
+						// in place.
+						g.Adj[start+k] = -w - 1
+						k++
 						continue
 					}
-					casFail++ // raced for w and lost to another frontier vertex
+					if atomic.LoadInt32(&c[w]) == unvisited {
+						if atomic.CompareAndSwapInt32(&c[w], unvisited, cv) {
+							out.Push(w)
+							continue
+						}
+						casFail++ // raced for w and lost to another frontier vertex
+					}
+					if cw := atomic.LoadInt32(&c[w]); cw != cv {
+						g.Adj[start+k] = cw
+						k++
+					}
 				}
-				if cw := atomic.LoadInt32(&c[w]); cw != cv {
-					g.Adj[start+k] = cw
-					k++
-				}
+				// Only v's processing round writes Deg[v] once v is on a
+				// frontier: the dense pass reads and writes only unvisited
+				// vertices' degrees. ^k < 0 marks the list fully classified.
+				g.Deg[v] = ^int32(k)
+				kept += k
 			}
-			g.Deg[v] = int32(k)
-			kept += k
-			// Only v's processing round writes frontRound[v]: claims in this
-			// section write slots of still-unvisited vertices, and v is not
-			// one. Dense membership probes run in other, barrier-separated
-			// rounds and test equality with a round number, never -2.
-			frontRound[v] = fullyClassified
 		}
 		out.Flush()
 		sh := retryShard(lo)
 		m.retries.Add(sh, casFail)
-		// A fullyClassified vertex's degree is final here and filterEdges
+		// A fully classified vertex's degree is final here and filterEdges
 		// skips it, so its surviving edges are counted in this block sum.
 		m.liveOut.Add(sh, kept)
 	}
-	// filterEdges: classify every surviving edge the BFS did not. Vertices
-	// stamped fullyClassified (processed by a sparse round) are skipped —
-	// their lists already hold plain relabeled entries and were counted at
-	// processing time. The rest hold raw original lists (claimed during a
-	// round but never push-processed) or the mixed marked/raw lists a fused
-	// dense adoption leaves behind.
+	// filterEdges: classify every surviving edge the BFS did not. A negative
+	// degree marks a vertex a sparse round processed: its list already holds
+	// plain relabeled entries and was counted then, so only its degree is
+	// restored. The rest hold raw original lists (claimed during a round but
+	// never push-processed) or the mixed marked/raw lists a fused dense
+	// adoption leaves behind.
 	m.fnFilter = func(lo, hi int) {
-		g, c, frontRound := m.g, m.c, m.frontRound
+		g, c := m.g, m.c
 		var kept int64
 		for v := lo; v < hi; v++ {
-			if frontRound[v] == fullyClassified {
+			d := g.Deg[v]
+			if d < 0 {
+				g.Deg[v] = ^d
 				continue
 			}
 			start := g.Offs[v]
-			d := int64(g.Deg[v])
 			// filterEdges runs after the last BFS join barrier; c is
 			// read-only here.
 			cv := c[v]
 			var k int64
-			for i := int64(0); i < d; i++ {
+			for i := int64(0); i < int64(d); i++ {
 				e := g.Adj[start+i]
 				if e < 0 {
 					g.Adj[start+k] = -e - 1
@@ -227,8 +231,8 @@ func newHybridMachine() *hybridMachine {
 			kept += k
 		}
 		// Every vertex's degree is finalized exactly once — here, or in the
-		// sparse round that stamped it fullyClassified — and counted into
-		// liveOut by whichever pass did it, so the sums stay exact.
+		// sparse round that complemented it — and counted into liveOut by
+		// whichever pass did it, so the sums stay exact.
 		m.liveOut.Add(retryShard(lo), kept)
 	}
 	return m
@@ -262,12 +266,7 @@ func (m *hybridMachine) run(g *WGraph, opt Options) Result {
 
 	c := ws.Int32(n)
 	parallel.Fill(procs, c, unvisited)
-	// frontRound[v] is the round at which v joined the frontier; the dense
-	// pass tests membership with it instead of a bitmap (no per-round
-	// clearing needed).
-	frontRound := ws.Int32(n)
-	parallel.Fill(procs, frontRound, int32(-1))
-	m.c, m.frontRound = c, frontRound
+	m.c = c
 	sh := m.draw.newShifts(pool, n, opt.Beta, opt.Seed, procs, ws)
 	m.perm = sh.order
 	var bufs [2][]int32
@@ -295,7 +294,6 @@ func (m *hybridMachine) run(g *WGraph, opt Options) Result {
 			m.cursor.Store(int64(curN))
 			m.front = bufs[curBuf]
 			m.base = permPtr
-			m.r32 = int32(round)
 			pool.Blocks(procs, end-permPtr, 0, m.fnPre)
 			permPtr = end
 			added = int(m.cursor.Load()) - curN
@@ -335,17 +333,22 @@ func (m *hybridMachine) run(g *WGraph, opt Options) Result {
 		var roundEdges int64
 		if dense {
 			tDense := now()
+			if m.frontRound == nil {
+				// frontRound[v] is the last round at which v was on a dense
+				// round's frontier; the dense pass tests membership with it
+				// instead of a bitmap (no per-round clearing needed). Levels
+				// that never go dense never acquire it.
+				m.frontRound = ws.Int32(n)
+				parallel.Fill(procs, m.frontRound, int32(-1))
+			}
 			m.r32 = int32(round)
+			pool.Blocks(procs, curN, 0, m.fnDenseFront)
 			roundEdges = unexplored
 			pool.Blocks(procs, n, tn.FrontierGrain(procs, n, int64(n)+roundEdges, 0), m.fnDense)
-			newN := int(m.cursor.Load())
-			m.r32next = int32(round + 1)
-			pool.Blocks(procs, newN, 0, m.fnDenseFront)
 			dRound = time.Since(tDense)
 			phDense += dRound
 		} else {
 			tSparse := now()
-			m.r32next = int32(round + 1)
 			roundEdges = curEdges
 			pool.Blocks(procs, curN, tn.FrontierGrain(procs, curN, roundEdges, retryDelta), m.fnSparse)
 			dRound = time.Since(tSparse)
@@ -389,7 +392,9 @@ func (m *hybridMachine) run(g *WGraph, opt Options) Result {
 	sh.release(ws)
 	ws.PutInt32(bufs[0])
 	ws.PutInt32(bufs[1])
-	ws.PutInt32(frontRound)
+	if m.frontRound != nil {
+		ws.PutInt32(m.frontRound)
+	}
 	m.g, m.c, m.frontRound, m.perm, m.front, m.cur, m.nxt = nil, nil, nil, nil, nil, nil, nil
 	//parconn:allow scratchlifetime Labels ownership transfers to the caller, who releases it after RELABELUP (see the comment above)
 	return Result{Labels: c, NumCenters: numCenters, Rounds: workRounds,
