@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-short bench bench-smoke speedup-smoke trace-smoke trace-regression serve-smoke serve-regression churn-smoke churn-regression metrics-smoke slo-regression perfbench-check vet check fmt fmt-check repro repro-quick examples clean
+.PHONY: all build test race race-short bench bench-smoke speedup-smoke trace-smoke trace-regression serve-smoke serve-regression churn-smoke churn-regression metrics-smoke slo-regression perfbench-check perfbench-pairs vet check fmt fmt-check repro repro-quick examples clean
 
 all: check test build
 
@@ -131,6 +131,15 @@ vet:
 # program matches BENCHMARK.json.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Alternating before/after pairs of one perfbench workload against a parent
+# revision (extracted with git archive), summarised as EXPERIMENTS.md's
+# median [quartiles] / wins table, e.g.
+#   make perfbench-pairs PARENT=HEAD~1 WORKLOAD=cc-rmat PAIRS=10
+PAIRS ?= 10
+perfbench-pairs:
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make perfbench-pairs PARENT=<rev> WORKLOAD=<w> [PAIRS=10]"; exit 2; }
+	python3 scripts/perfpairs.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 # Machine-readable findings report (what CI uploads as an artifact) and the
 # inferred hot-path/parallel-context sets with per-function provenance.

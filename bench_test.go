@@ -103,11 +103,13 @@ func BenchmarkCCAllocs(b *testing.B) {
 }
 
 // TestCCAllocsProcs2 pins BenchmarkCCAllocs' inputs at two workers. Beyond
-// procs=1's four allocations (the result labels among them), every parallel
-// section that forks costs two in Pool.exec, its task and its done channel,
-// so the count tracks the number of forked sections. The
-// ceilings are the counts measured on a 2-CPU host (rMat 143 and 136,
-// random 61 and 52); a host with one CPU forks nothing and stays below.
+// procs=1's single allocation (the result labels), every parallel section
+// that forks costs two in Pool.exec, its task and its done channel, so the
+// count tracks the number of forked sections. The ceilings are the counts
+// measured on a 2-CPU host (rMat 115 and 108, random 46 and 36) once
+// contraction stopped renumbering every center and ran its one-worker
+// levels without building closures; a host with one CPU forks nothing and
+// stays below. The same inputs at procs=1 must allocate only the labels.
 func TestCCAllocsProcs2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("labels two 10^6-edge graphs several times; the race detector's runtime also allocates")
@@ -118,10 +120,10 @@ func TestCCAllocsProcs2(t *testing.T) {
 		alg   Algorithm
 		max   uint64
 	}{
-		{"rMat", DecompArbHybrid, 143},
-		{"rMat", DecompArb, 136},
-		{"random", DecompArbHybrid, 61},
-		{"random", DecompArb, 52},
+		{"rMat", DecompArbHybrid, 115},
+		{"rMat", DecompArb, 108},
+		{"random", DecompArbHybrid, 46},
+		{"random", DecompArb, 36},
 	}
 	for _, c := range ceilings {
 		opt := Options{Algorithm: c.alg, Seed: 42, Procs: 2}
@@ -129,6 +131,11 @@ func TestCCAllocsProcs2(t *testing.T) {
 		t.Logf("%s/%s: %d allocs per labeling", c.graph, c.alg, got)
 		if got > c.max {
 			t.Errorf("%s/%s at procs=2: %d allocs per labeling, ceiling %d", c.graph, c.alg, got, c.max)
+		}
+		// One worker forks nothing: the result labels are the only allocation.
+		opt.Procs = 1
+		if got := allocsPerLabeling(t, graphs[c.graph], opt); got > 1 {
+			t.Errorf("%s/%s at procs=1: %d allocs per labeling, want 1", c.graph, c.alg, got)
 		}
 	}
 }

@@ -25,7 +25,7 @@ import (
 //     in, not the context it was written in.
 //   - References to function-typed variables and struct fields resolve to
 //     every literal ever assigned to that object anywhere in the module
-//     (litAssigns), which covers the fnPre/fnMain/fnRelabel machine fields.
+//     (litAssigns), which covers the fnPre/fnMain/fnShortcut machine fields.
 //   - Interface method calls resolve to nothing. The only interface on the
 //     measured hot path is obs.Recorder, whose enabled path is explicitly
 //     outside the alloc-free invariant (BenchmarkCCAllocs runs with a nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"parconn/internal/decomp"
@@ -9,19 +10,54 @@ import (
 	"parconn/internal/workspace"
 )
 
-// contract runs one contraction step through a fresh ccMachine, preserving
-// the pre-machine free-function shape the tests were written against.
-func contract(w *decomp.WGraph, labels []int32, _ int, opt Options) (*decomp.WGraph, []int32, []int32, []int32, []int32, int64) {
+// contracted is one contraction step's output.
+type contracted struct {
+	sub      *decomp.WGraph
+	rep      []int32
+	edgesOut int64
+}
+
+// newTestMachine returns a pooled machine aimed at the default pool and
+// arena; release it with putTestMachine.
+func newTestMachine(opt Options) *ccMachine {
 	m := machinePool.Get().(*ccMachine)
 	m.opt = opt
 	m.procs = parallel.Procs(opt.Procs)
 	m.pool = parallel.Default()
 	m.ws = workspace.Default()
-	sub := &decomp.WGraph{}
-	rep, present, compact, newID, edgesOut := m.contract(w, sub, labels)
+	return m
+}
+
+func putTestMachine(m *ccMachine) {
 	m.reset()
 	machinePool.Put(m)
-	return sub, rep, present, compact, newID, edgesOut
+}
+
+// contract runs one contraction step through a fresh ccMachine.
+func contract(w *decomp.WGraph, labels []int32, opt Options) contracted {
+	m := newTestMachine(opt)
+	defer putTestMachine(m)
+	c := contracted{sub: &decomp.WGraph{}}
+	c.rep, c.edgesOut = m.contract(m.procs, w, c.sub, labels)
+	return c
+}
+
+// sameContraction reports whether a and b are the same contracted graph
+// with the same representatives.
+func sameContraction(a, b contracted) bool {
+	n := a.sub.N
+	return a.edgesOut == b.edgesOut && n == b.sub.N &&
+		slices.Equal(a.rep, b.rep) &&
+		slices.Equal(a.sub.Offs[:n+1], b.sub.Offs[:n+1]) &&
+		slices.Equal(a.sub.Deg[:n], b.sub.Deg[:n]) &&
+		slices.Equal(a.sub.Adj[:a.edgesOut], b.sub.Adj[:b.edgesOut])
+}
+
+// relabelUp runs RELABELUP on labels in place through a fresh ccMachine.
+func relabelUp(labels, rep, subLabels []int32, procs int) {
+	m := newTestMachine(Options{Procs: procs})
+	defer putTestMachine(m)
+	m.relabelUp(m.procs, labels, rep, subLabels)
 }
 
 // buildWGraph constructs a working graph directly from directed adjacency
@@ -40,7 +76,7 @@ func buildWGraph(adj [][]int32) *decomp.WGraph {
 // TestContractManual checks CONTRACT on a hand-built post-decomposition
 // state: 6 vertices in 3 components with centers 0, 2, 5. Components 0 and
 // 2 exchange (duplicated) edges; component 5 has no surviving edges and
-// must be dropped as a singleton with its label preserved.
+// must be dropped as a singleton with its label preserved by RELABELUP.
 func TestContractManual(t *testing.T) {
 	// Partitions: {0,1} center 0; {2,3} center 2; {4,5} center 5.
 	labels := []int32{0, 0, 2, 2, 5, 5}
@@ -55,53 +91,103 @@ func TestContractManual(t *testing.T) {
 		{},     // vertex 4
 		{},     // vertex 5 (center, no edges)
 	})
-	sub, rep, present, compact, newID, edgesOut := contract(w, labels, 3, Options{Procs: 1, Dedup: DedupHash})
-	// Centers 0,2,5 get component ids 0,1,2 in vertex order.
-	if newID[0] != 0 || newID[2] != 1 || newID[5] != 2 {
-		t.Fatalf("newID=%v", newID)
-	}
-	// Component 2 (center 5) is a singleton: dropped.
-	if present[0] != 1 || present[1] != 1 || present[2] != 0 {
-		t.Fatalf("present=%v", present)
-	}
-	if sub.N != 2 {
-		t.Fatalf("contracted n=%d want 2", sub.N)
-	}
-	// Dedup leaves exactly one edge each way.
-	if edgesOut != 2 {
-		t.Fatalf("edgesOut=%d want 2", edgesOut)
-	}
-	if sub.Deg[0] != 1 || sub.Deg[1] != 1 {
-		t.Fatalf("sub degrees %v", sub.Deg)
-	}
-	if sub.Adj[sub.Offs[0]] != 1 || sub.Adj[sub.Offs[1]] != 0 {
-		t.Fatal("contracted adjacency wrong")
-	}
-	// Representatives map back to the centers.
-	if rep[compact[0]] != 0 || rep[compact[1]] != 2 {
-		t.Fatalf("rep=%v compact=%v", rep, compact)
+	for _, dedup := range dedups {
+		c := contract(w, labels, Options{Procs: 1, Dedup: dedup})
+		sub := c.sub
+		// Component 5 is a singleton: dropped.
+		if sub.N != 2 {
+			t.Fatalf("%v: contracted n=%d want 2", dedup, sub.N)
+		}
+		// Dedup leaves exactly one edge each way; without it all three stay.
+		perSide := int32(1)
+		if dedup == DedupNone {
+			perSide = 3
+		}
+		if c.edgesOut != 2*int64(perSide) {
+			t.Fatalf("%v: edgesOut=%d want %d", dedup, c.edgesOut, 2*perSide)
+		}
+		if sub.Deg[0] != perSide || sub.Deg[1] != perSide {
+			t.Fatalf("%v: sub degrees %v", dedup, sub.Deg)
+		}
+		for v, other := range []int32{1, 0} {
+			for _, u := range sub.Adj[sub.Offs[v]:sub.Offs[v+1]] {
+				if u != other {
+					t.Fatalf("%v: contracted vertex %d lists %d, want %d", dedup, v, u, other)
+				}
+			}
+		}
+		// Representatives map back to the centers, in center order.
+		if c.rep[0] != 0 || c.rep[1] != 2 {
+			t.Fatalf("%v: rep=%v", dedup, c.rep)
+		}
+		// RELABELUP with either contracted vertex as the root relabels both
+		// surviving components and leaves the dropped singleton alone.
+		for root, want := range [][]int32{{0, 0, 0, 0, 5, 5}, {2, 2, 2, 2, 5, 5}} {
+			got := slices.Clone(labels)
+			relabelUp(got, c.rep, []int32{int32(root), int32(root)}, 1)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%v: RELABELUP with root %d gave %v, want %v", dedup, root, got, want)
+			}
+		}
 	}
 }
 
 func TestContractDedupModesCount(t *testing.T) {
 	labels := []int32{0, 0, 2, 2}
-	build := func() *decomp.WGraph {
-		return buildWGraph([][]int32{
-			{2, 2, 2}, // three parallel edges comp0 -> comp2
-			{},
-			{0, 0, 0},
-			{},
-		})
-	}
-	for _, mode := range []DedupMode{DedupHash, DedupSort} {
-		_, _, _, _, _, out := contract(build(), labels, 2, Options{Procs: 1, Dedup: mode})
-		if out != 2 {
-			t.Fatalf("%v: edgesOut=%d want 2", mode, out)
+	w := buildWGraph([][]int32{
+		{2, 2, 2}, // three parallel edges comp0 -> comp2
+		{},
+		{0, 0, 0},
+		{},
+	})
+	for _, mode := range dedups {
+		want := int64(2)
+		if mode == DedupNone {
+			want = 6
+		}
+		if c := contract(w, labels, Options{Procs: 1, Dedup: mode}); c.edgesOut != want {
+			t.Fatalf("%v: edgesOut=%d want %d", mode, c.edgesOut, want)
 		}
 	}
-	_, _, _, _, _, out := contract(build(), labels, 2, Options{Procs: 1, Dedup: DedupNone})
-	if out != 6 {
-		t.Fatalf("none: edgesOut=%d want 6", out)
+}
+
+// TestContractRealInputs decomposes real inputs and contracts the
+// resulting state in every dedup mode with one worker (as on a tiny level)
+// and with two, so the sections fork; both must build the same graph.
+// RELABELUP of the contracted graph's own labeling must then give the
+// input's exact partition.
+func TestContractRealInputs(t *testing.T) {
+	inputs := map[string]*graph.Graph{
+		"line":     graph.Line(30_000, 3),
+		"rmat-dup": graph.RMat(12, graph.RMatOptions{EdgeFactor: 8, Seed: 4, KeepDuplicates: true}),
+		"random":   graph.Random(20_000, 4, 5),
+	}
+	for name, g := range inputs {
+		for _, dedup := range dedups {
+			w := decomp.NewWGraph(g, 2)
+			res, err := decomp.Decompose(w, decomp.Arb, decomp.Options{Beta: 0.2, Seed: 3, Procs: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.EdgesOut == 0 {
+				t.Fatalf("%s: decomposition cut no edges", name)
+			}
+			c := contract(w, res.Labels, Options{Procs: 2, Dedup: dedup})
+			if !sameContraction(c, contract(w, res.Labels, Options{Procs: 1, Dedup: dedup})) {
+				t.Fatalf("%s/%v: contraction differs between 1 and 2 workers", name, dedup)
+			}
+			if c.sub.N == 0 || c.sub.N > res.NumCenters {
+				t.Fatalf("%s/%v: contracted n=%d from %d centers", name, dedup, c.sub.N, res.NumCenters)
+			}
+			subG := &graph.Graph{N: c.sub.N, Offs: c.sub.Offs[:c.sub.N+1], Adj: c.sub.Adj[:c.edgesOut]}
+			subLabels, err := CC(subG, Options{Variant: decomp.Arb, Seed: 4, Procs: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			labels := slices.Clone(res.Labels)
+			relabelUp(labels, c.rep, subLabels, 2)
+			checkLabels(t, g, labels)
+		}
 	}
 }
 

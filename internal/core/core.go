@@ -23,7 +23,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/pprof"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -153,36 +152,33 @@ type ccMachine struct {
 	levels [maxLevels + 1]decomp.WGraph
 
 	// Current-section state for the bound closures.
-	w                     *decomp.WGraph
-	labels                []int32
-	newID                 []int32
-	centers               []int32
-	offs                  []int64
-	pairs                 []uint64
-	kbits                 uint
-	mask                  uint64
-	present, compact, rep []int32
-	subOffs               []int64
-	subAdj, subDeg        []int32
-	subLabels             []int32
-	set                   hashtable.Set
+	w              *decomp.WGraph
+	labels         []int32
+	blockOut       []int64
+	pairs          []uint64
+	bits           uint
+	mask           uint64
+	rep, idx       []int32
+	subOffs        []int64
+	subAdj, subDeg []int32
+	subLabels      []int32
+	set            hashtable.Set
 
-	fnIsCenter, fnCenters, fnOffs, fnPairs   func(lo, hi int)
-	fnInsert, fnPresent, fnRep               func(lo, hi int)
-	fnSubAdj, fnSubDeg, fnRelabel, fnUnseenQ func(lo, hi int)
+	fnCount, fnPairs, fnInsert, fnFirst, fnRank, fnSubAdj func(lo, hi int)
+	fnRelabelReps, fnShortcut                             func(lo, hi int)
 
 	// Bound pprof.Do bodies for the recorder path: per-level closure
 	// literals would heap-allocate at each of the O(levels) creations, so
 	// the arguments flow through the fields below instead.
-	dopt                                 decomp.Options
-	stepW, stepSub                       *decomp.WGraph
-	stepLabels                           []int32
-	decompRes                            decomp.Result
-	decompErr                            error
-	ctRep, ctPresent, ctCompact, ctNewID []int32
-	ctEdgesOut                           int64
-	ctTiny                               bool
-	fnDecompose, fnContract              func(context.Context)
+	dopt                    decomp.Options
+	stepW, stepSub          *decomp.WGraph
+	stepLabels              []int32
+	decompRes               decomp.Result
+	decompErr               error
+	stepProcs               int
+	ctRep                   []int32
+	ctEdgesOut              int64
+	fnDecompose, fnContract func(context.Context)
 }
 
 // levelLabels precomputes the pprof label values for every possible
@@ -201,46 +197,38 @@ var machinePool = sync.Pool{New: func() any { return newCCMachine() }}
 
 func newCCMachine() *ccMachine {
 	m := &ccMachine{}
-	// Renumber centers to [0, k): newID[center] = rank (after the scan).
-	// newID aliases the isCenter flags, which the coordinator zero-fills
-	// before this section (arena buffers come back dirty).
-	m.fnIsCenter = func(lo, hi int) {
-		labels, newID := m.labels, m.newID
-		for v := lo; v < hi; v++ {
-			if labels[v] == int32(v) {
-				newID[v] = 1
+	// Surviving directed edges per pairGrain block of vertices: the pair
+	// gather's output offsets once scanned (the PackInto idiom). A serial
+	// section hands the whole range to one call, so count block by block.
+	m.fnCount = func(lo, hi int) {
+		deg, blockOut := m.w.Deg, m.blockOut
+		for b := lo; b < hi; b += pairGrain {
+			var c int64
+			for _, d := range deg[b:min(b+pairGrain, hi)] {
+				c += int64(d)
 			}
+			blockOut[b/pairGrain] = c
 		}
 	}
-	// centers[rank] = center vertex id (inverse of newID on centers).
-	m.fnCenters = func(lo, hi int) {
-		labels, newID, centers := m.labels, m.newID, m.centers
-		for v := lo; v < hi; v++ {
-			if labels[v] == int32(v) {
-				centers[newID[v]] = int32(v)
-			}
-		}
-	}
-	m.fnOffs = func(lo, hi int) {
-		w, offs := m.w, m.offs
-		for v := lo; v < hi; v++ {
-			offs[v] = int64(w.Deg[v])
-		}
-	}
-	// Gather the surviving directed edges as packed (srcComp, tgtComp)
-	// pairs in component space. Targets were relabeled to center ids during
-	// the decomposition; only the source endpoint needs mapping here (the
-	// paper's "we only need to relabel the source endpoint").
+	// Gather the surviving directed edges as packed (srcCenter, tgtCenter)
+	// pairs, skipping vertices with none. Targets were relabeled to center
+	// ids during the decomposition; the source is its own label (the
+	// paper's "we only need to relabel the source endpoint"), a sequential
+	// read. The output of a contiguous vertex range is contiguous, so a call
+	// spanning several blocks writes on from its first block's offset.
 	m.fnPairs = func(lo, hi int) {
-		w, labels, newID, offs, pairs := m.w, m.labels, m.newID, m.offs, m.pairs
-		kbits := m.kbits
+		w, labels, pairs, bits := m.w, m.labels, m.pairs, m.bits
+		out := m.blockOut[lo/pairGrain]
 		for v := lo; v < hi; v++ {
-			src := uint64(uint32(newID[labels[v]])) << kbits
+			d := w.Deg[v]
+			if d == 0 {
+				continue
+			}
+			src := uint64(uint32(labels[v])) << bits
 			base := w.Offs[v]
-			out := offs[v]
-			for i := int64(0); i < int64(w.Deg[v]); i++ {
-				tgt := uint64(uint32(newID[w.Adj[base+i]]))
-				pairs[out+i] = src | tgt
+			for _, tgt := range w.Adj[base : base+int64(d)] {
+				pairs[out] = src | uint64(uint32(tgt))
+				out++
 			}
 		}
 	}
@@ -250,59 +238,63 @@ func newCCMachine() *ccMachine {
 			set.Insert(pairs[i])
 		}
 	}
-	// Components that retain at least one edge survive into the recursion;
-	// singletons are dropped (their labels are already final). Because the
-	// edge set is symmetric, marking sources marks every non-singleton.
-	// present is zero-filled by the coordinator before this section.
-	m.fnPresent = func(lo, hi int) {
-		pairs, present := m.pairs, m.present
-		kbits := m.kbits
+	// Flag the first pair of each source in subAdj's storage; the exclusive
+	// scan of the flags ranks the components that keep an edge. Because the
+	// edge set is symmetric, every such component is also some pair's
+	// target, and singletons (no surviving edge) get no rank.
+	m.fnFirst = func(lo, hi int) {
+		pairs, flags, bits := m.pairs, m.subAdj, m.bits
 		for i := lo; i < hi; i++ {
-			src := int32(pairs[i] >> kbits)
-			if i == 0 || int32(pairs[i-1]>>kbits) != src {
-				present[src] = 1
+			flags[i] = 0
+			if i == 0 || pairs[i-1]>>bits != pairs[i]>>bits {
+				flags[i] = 1
 			}
 		}
 	}
-	// rep[j] = the original-vertex center of contracted vertex j.
-	m.fnRep = func(lo, hi int) {
-		present, compact, rep, centers := m.present, m.compact, m.rep, m.centers
-		for c := lo; c < hi; c++ {
-			if present[c] != 0 {
-				rep[compact[c]] = centers[c]
+	// At each source's first pair, with r its scanned rank: rep[r] = the
+	// center, idx[center] = r, and the contracted CSR offset of r.
+	m.fnRank = func(lo, hi int) {
+		pairs, ranks, rep, idx, subOffs, bits := m.pairs, m.subAdj, m.rep, m.idx, m.subOffs, m.bits
+		for i := lo; i < hi; i++ {
+			if i == 0 || pairs[i-1]>>bits != pairs[i]>>bits {
+				src, r := int32(pairs[i]>>bits), ranks[i]
+				rep[r], idx[src], subOffs[r] = src, r, int64(i)
 			}
 		}
 	}
-	// Build the contracted working graph in compacted vertex space. compact
-	// is monotone, so remapped pairs stay sorted.
+	// Map targets into rank space; each first pair also sets its source's
+	// degree (subOffs is complete, so no source has a gap to fill).
 	m.fnSubAdj = func(lo, hi int) {
-		pairs, compact, subAdj, subOffs := m.pairs, m.compact, m.subAdj, m.subOffs
-		kbits, mask := m.kbits, m.mask
+		pairs, subAdj, idx, subOffs, subDeg := m.pairs, m.subAdj, m.idx, m.subOffs, m.subDeg
+		bits, mask := m.bits, m.mask
 		for i := lo; i < hi; i++ {
-			src := compact[pairs[i]>>kbits]
-			subAdj[i] = compact[int32(pairs[i]&mask)]
-			if i == 0 || int32(pairs[i-1]>>kbits) != int32(pairs[i]>>kbits) {
-				subOffs[src] = int64(i)
+			if i == 0 || pairs[i-1]>>bits != pairs[i]>>bits {
+				r := subAdj[i]
+				subDeg[r] = int32(subOffs[r+1] - subOffs[r])
 			}
+			subAdj[i] = idx[int32(pairs[i]&mask)]
 		}
 	}
-	m.fnSubDeg = func(lo, hi int) {
-		subOffs, subDeg := m.subOffs, m.subDeg
-		for v := lo; v < hi; v++ {
-			subDeg[v] = int32(subOffs[v+1] - subOffs[v])
+	// RELABELUP, first half: point every surviving center at the center of
+	// its contracted vertex's root. rep and subLabels are read-only here and
+	// each rep[j] is written once.
+	m.fnRelabelReps = func(lo, hi int) {
+		labels, rep, subLabels := m.labels, m.rep, m.subLabels
+		for j := lo; j < hi; j++ {
+			labels[rep[j]] = rep[subLabels[j]]
 		}
 	}
-	// RELABELUP — map each vertex's component through the recursive
-	// labeling and back to a canonical vertex of this level. Singleton
-	// components keep their center label (paper: "singleton vertices are
-	// removed, but their labels are kept").
-	m.fnRelabel = func(lo, hi int) {
-		labels, newID, present, compact, rep, subLabels :=
-			m.labels, m.newID, m.present, m.compact, m.rep, m.subLabels
+	// RELABELUP, second half: one pointer jump. A root center r has
+	// labels[r] == r, so centers are never written, and non-centers read
+	// only their own entry and a center's. Dropped singletons kept their
+	// center label (paper: "singleton vertices are removed, but their
+	// labels are kept").
+	m.fnShortcut = func(lo, hi int) {
+		labels := m.labels
 		for v := lo; v < hi; v++ {
-			c := newID[labels[v]]
-			if present[c] != 0 {
-				labels[v] = rep[subLabels[compact[c]]]
+			x := labels[v]
+			if l := labels[x]; l != x {
+				labels[v] = l
 			}
 		}
 	}
@@ -310,13 +302,7 @@ func newCCMachine() *ccMachine {
 		m.decompRes, m.decompErr = decomp.Decompose(m.stepW, m.opt.Variant, m.dopt)
 	}
 	m.fnContract = func(context.Context) {
-		if m.ctTiny {
-			m.ctRep, m.ctPresent, m.ctCompact, m.ctNewID, m.ctEdgesOut =
-				m.contractSerial(m.stepW, m.stepSub, m.stepLabels)
-		} else {
-			m.ctRep, m.ctPresent, m.ctCompact, m.ctNewID, m.ctEdgesOut =
-				m.contract(m.stepW, m.stepSub, m.stepLabels)
-		}
+		m.ctRep, m.ctEdgesOut = m.contract(m.stepProcs, m.stepW, m.stepSub, m.stepLabels)
 	}
 	return m
 }
@@ -325,15 +311,13 @@ func newCCMachine() *ccMachine {
 // (slices, option pointers) between CC calls.
 func (m *ccMachine) reset() {
 	m.pool, m.ws, m.opt = nil, nil, Options{}
-	m.w, m.labels, m.newID, m.centers = nil, nil, nil, nil
-	m.offs, m.pairs = nil, nil
-	m.present, m.compact, m.rep = nil, nil, nil
+	m.w, m.labels, m.blockOut, m.pairs = nil, nil, nil, nil
+	m.rep, m.idx = nil, nil
 	m.subOffs, m.subAdj, m.subDeg, m.subLabels = nil, nil, nil, nil
 	m.dopt = decomp.Options{}
-	m.stepW, m.stepSub, m.stepLabels = nil, nil, nil
+	m.stepW, m.stepSub, m.stepLabels, m.stepProcs = nil, nil, nil, 0
 	m.decompRes, m.decompErr = decomp.Result{}, nil
-	m.ctRep, m.ctPresent, m.ctCompact, m.ctNewID = nil, nil, nil, nil
-	m.ctTiny = false
+	m.ctRep = nil
 }
 
 // CC computes a connected-components labeling of g. The returned labeling
@@ -495,24 +479,18 @@ func (m *ccMachine) ccLevel(w *decomp.WGraph, level int, edges int64) ([]int32, 
 	// pprof labels on the recorder path, via the bound closure).
 	tCt := now()
 	sub := &m.levels[level+1]
-	var rep, present, compact, newID []int32
+	var rep []int32
 	var edgesOut int64
 	if rec == nil {
-		if tiny {
-			rep, present, compact, newID, edgesOut = m.contractSerial(w, sub, labels)
-		} else {
-			rep, present, compact, newID, edgesOut = m.contract(w, sub, labels)
-		}
+		rep, edgesOut = m.contract(procs, w, sub, labels)
 	} else {
-		m.ctTiny = tiny
-		m.stepW, m.stepSub, m.stepLabels = w, sub, labels
+		m.stepProcs, m.stepW, m.stepSub, m.stepLabels = procs, w, sub, labels
 		pprof.Do(context.Background(),
 			pprof.Labels("parconn_level", levelLabels[level], "parconn_phase", "contract"),
 			m.fnContract)
-		rep, present, compact, newID, edgesOut = m.ctRep, m.ctPresent, m.ctCompact, m.ctNewID, m.ctEdgesOut
-		m.stepW, m.stepSub, m.stepLabels = nil, nil, nil
-		m.ctRep, m.ctPresent, m.ctCompact, m.ctNewID = nil, nil, nil, nil
-		m.ctTiny = false
+		rep, edgesOut = m.ctRep, m.ctEdgesOut
+		m.stepProcs, m.stepW, m.stepSub, m.stepLabels = 0, nil, nil, nil
+		m.ctRep = nil
 	}
 	ctDur := time.Since(tCt)
 	if rec != nil {
@@ -533,73 +511,73 @@ func (m *ccMachine) ccLevel(w *decomp.WGraph, level int, edges int64) ([]int32, 
 	m.ws.PutInt32(sub.Deg)
 	*sub = decomp.WGraph{}
 
-	// Step 4: RELABELUP through the bound closure; the coordinator re-aims
-	// the machine fields at this level's arrays (they sat in locals across
-	// the recursive call, which reused the fields for deeper levels).
-	// Relabeling is charged to this level's contract phase, so the Phase
-	// event lands after the deeper levels' events — sinks accumulate by
-	// (level, name), not by arrival order.
+	// Step 4: RELABELUP. The arrays sat in locals across the recursive
+	// call, which reused the machine fields for deeper levels. Relabeling
+	// is charged to this level's contract phase, so the Phase event lands
+	// after the deeper levels' events — sinks accumulate by (level, name),
+	// not by arrival order.
 	tRl := now()
-	m.labels, m.newID, m.present, m.compact, m.rep, m.subLabels =
-		labels, newID, present, compact, rep, subLabels
-	m.pool.Blocks(procs, w.N, 0, m.fnRelabel)
+	m.relabelUp(procs, labels, rep, subLabels)
 	if rec != nil {
 		rec.Phase(obs.Phase{Level: level, Name: obs.PhaseContract, Duration: ctDur + time.Since(tRl)})
 	}
 
-	m.ws.PutInt32(newID)
-	m.ws.PutInt32(present)
-	m.ws.PutInt32(compact)
 	m.ws.PutInt32(rep)
 	m.ws.PutInt32(subLabels)
-	m.labels, m.newID, m.present, m.compact, m.rep, m.subLabels = nil, nil, nil, nil, nil, nil
 	return labels, nil
 }
 
-// contract builds the next-level working graph into sub: components become
+// relabelUp is RELABELUP: it maps labels (this level's centers) through
+// subLabels (the contracted graph's canonical labeling) back to canonical
+// vertices of this level, in place. The surviving centers are relabeled
+// first, then every vertex takes one pointer jump (the "shortcut" step of
+// Liu and Tarjan's concurrent labeling algorithms).
+func (m *ccMachine) relabelUp(procs int, labels, rep, subLabels []int32) {
+	m.labels, m.rep, m.subLabels = labels, rep, subLabels
+	m.pool.Blocks(procs, len(rep), 0, m.fnRelabelReps)
+	m.pool.Blocks(procs, len(labels), 0, m.fnShortcut)
+	m.labels, m.rep, m.subLabels = nil, nil, nil
+}
+
+// pairGrain is the vertex block size of contract's pair gather, whose
+// per-block counts are its output offsets.
+const pairGrain = 4 * parallel.FrontierGrain
+
+// contract builds the next-level working graph into sub with procs workers
+// (one on a tiny level, where no section forks): components become
 // vertices, intra-component edges are already gone, duplicate
 // inter-component edges are removed per opt.Dedup, and singleton components
-// (no remaining edges) are dropped. It returns the representative original
-// vertex of each contracted vertex (rep), the present/compact component
-// mappings, the center renumbering newID, and the directed edge count of
-// the contracted graph — all arena-acquired; the caller releases them after
-// RELABELUP. Scratch internal to one step (offs, pairs, hash slots, sort
-// buffer, centers) is released before returning, so the recursion below
-// immediately reuses it.
+// (no remaining edges) are dropped. Every pass runs over surviving edges
+// except the two reads of the degree array: the pairs are keyed by center
+// ids, so no n-wide renumbering happens. It returns the center of each
+// contracted vertex (rep, arena-acquired; the caller releases it after
+// RELABELUP) and the directed edge count of the contracted graph. Scratch
+// internal to one step (block offsets, pairs, hash slots, sort buffer, idx)
+// is released before returning, so the recursion below immediately reuses
+// it.
 //
-//parconn:allow scratchlifetime ownership transfers by contract: the machine fields are aliases ccLevel clears after RELABELUP, and sub plus the returned buffers are released by the caller's level epilogue
-func (m *ccMachine) contract(w *decomp.WGraph, sub *decomp.WGraph, labels []int32) (rep, present, compact, newID []int32, edgesOut int64) {
-	procs, ws, pool := m.procs, m.ws, m.pool
+//parconn:allow scratchlifetime ownership transfers by contract: sub plus the returned buffers are released by the caller's level epilogue
+func (m *ccMachine) contract(procs int, w *decomp.WGraph, sub *decomp.WGraph, labels []int32) (rep []int32, edgesOut int64) {
+	ws, pool := m.ws, m.pool
 	n := w.N
 	m.w, m.labels = w, labels
 
-	isCenter := ws.Int32(n)
-	parallel.Fill(procs, isCenter, 0)
-	m.newID = isCenter
-	pool.Blocks(procs, n, 0, m.fnIsCenter)
-	k := int(parallel.ExScan(procs, isCenter))
-	newID = isCenter // after the scan, isCenter[v] is the rank for centers
-	centers := ws.Int32(k)
-	m.centers = centers
-	pool.Blocks(procs, n, 0, m.fnCenters)
-
-	offs := ws.Int64(n)
-	m.offs = offs
-	pool.Blocks(procs, n, 0, m.fnOffs)
-	total := parallel.ExScan(procs, offs)
-	kbits := uint(intsort.Bits(uint64(max(1, int64(k)-1))))
-	m.kbits = kbits
-	m.mask = uint64(1)<<kbits - 1
+	blockOut := ws.Int64((n + pairGrain - 1) / pairGrain)
+	m.blockOut = blockOut
+	pool.Blocks(procs, n, pairGrain, m.fnCount)
+	total := parallel.ExScan(procs, blockOut)
+	bits := uint(intsort.Bits(uint64(max(1, n-1))))
+	m.bits = bits
+	m.mask = uint64(1)<<bits - 1
 	pairs := ws.Uint64(int(total))
 	m.pairs = pairs
-	pool.Blocks(procs, n, parallel.FrontierGrain, m.fnPairs)
-	ws.PutInt64(offs)
-	m.offs = nil
+	pool.Blocks(procs, n, pairGrain, m.fnPairs)
+	ws.PutInt64(blockOut)
+	m.blockOut = nil
 
-	// Deduplicate and sort. Every path ends with pairs sorted by
+	// Deduplicate and sort. Every mode ends with pairs sorted by
 	// (src, tgt), which the CSR build below requires.
-	switch m.opt.Dedup {
-	case DedupHash:
+	if m.opt.Dedup == DedupHash {
 		// Hash dedup first so the integer sort only handles unique edges.
 		slots := ws.Uint64(hashtable.SizeFor(len(pairs)))
 		m.set.Reset(procs, slots)
@@ -611,185 +589,47 @@ func (m *ccMachine) contract(w *decomp.WGraph, sub *decomp.WGraph, labels []int3
 		ws.PutUint64(pairs)
 		pairs = uniq
 		m.pairs = pairs
-		scratch := ws.Uint64(len(pairs))
-		intsort.SortUint64In(procs, pairs, int(2*kbits), scratch)
-		ws.PutUint64(scratch)
-	case DedupSort:
-		scratch := ws.Uint64(len(pairs))
-		intsort.SortUint64In(procs, pairs, int(2*kbits), scratch)
-		// scratch doubles as the compaction target (the sort is done with
-		// it); the duplicate-heavy original goes back to the arena.
-		//parconn:allow hotalloc one dedup-predicate closure per sort-path section, inside the steady-state budget
-		nuniq := parallel.PackInto(procs, scratch, pairs, func(i int) bool {
-			return i == 0 || pairs[i] != pairs[i-1]
-		})
-		ws.PutUint64(pairs)
-		pairs = scratch[:nuniq]
-		m.pairs = pairs
-	case DedupNone:
-		scratch := ws.Uint64(len(pairs))
-		intsort.SortUint64In(procs, pairs, int(2*kbits), scratch)
-		ws.PutUint64(scratch)
 	}
-	edgesOut = int64(len(pairs))
-
-	present = ws.Int32(k)
-	parallel.Fill(procs, present, 0)
-	m.present = present
-	pool.Blocks(procs, len(pairs), 0, m.fnPresent)
-	compact = ws.Int32(k)
-	parallel.Copy(procs, compact, present)
-	kPrime := int(parallel.ExScan(procs, compact))
-	m.compact = compact
-
-	rep = ws.Int32(kPrime)
-	m.rep = rep
-	pool.Blocks(procs, k, 0, m.fnRep)
-	ws.PutInt32(centers)
-	m.centers = nil
-
-	subOffs := ws.Int64(kPrime + 1)
-	parallel.Fill(procs, subOffs, -1)
-	subOffs[kPrime] = int64(len(pairs))
-	subAdj := ws.Int32(len(pairs))
-	m.subOffs, m.subAdj = subOffs, subAdj
-	pool.Blocks(procs, len(pairs), 0, m.fnSubAdj)
-	for v := kPrime - 1; v >= 0; v-- {
-		if subOffs[v] < 0 {
-			subOffs[v] = subOffs[v+1]
-		}
-	}
-	subDeg := ws.Int32(kPrime)
-	m.subDeg = subDeg
-	pool.Blocks(procs, kPrime, 0, m.fnSubDeg)
-	ws.PutUint64(pairs)
-	m.pairs = nil
-
-	*sub = decomp.WGraph{N: kPrime, Offs: subOffs, Adj: subAdj, Deg: subDeg}
-	m.w, m.subOffs, m.subAdj, m.subDeg = nil, nil, nil, nil
-	return rep, present, compact, newID, edgesOut
-}
-
-// contractSerial is contract's tiny-level twin (DESIGN.md §12): the same
-// component renumbering, dedup, and CSR build, but single-threaded plain
-// loops with no worker-pool sections, no sharded counters, and a
-// comparison sort in place of the radix sort — below the tuner's
-// SerialLevel threshold the fork/join and scan passes of the parallel
-// version cost more than the work itself. Duplicate removal is a
-// sort-then-compact for both DedupHash and DedupSort (they agree on the
-// output: the sorted unique pair set), so the hash table is never touched.
-// Returns and releases exactly what contract does.
-//
-//parconn:allow scratchlifetime ownership transfers by contract: sub plus the returned buffers are released by the caller's level epilogue
-func (m *ccMachine) contractSerial(w *decomp.WGraph, sub *decomp.WGraph, labels []int32) (rep, present, compact, newID []int32, edgesOut int64) {
-	ws := m.ws
-	n := w.N
-
-	// Renumber centers to [0, k) and record the inverse. newID slots of
-	// non-centers are never read (relabel indexes it at labels[v], a
-	// center), but arena buffers come back dirty, so zero them anyway.
-	newID = ws.Int32(n)
-	k := 0
-	for v := 0; v < n; v++ {
-		if labels[v] == int32(v) {
-			k++
-		}
-	}
-	centers := ws.Int32(k)
-	id := int32(0)
-	for v := 0; v < n; v++ {
-		if labels[v] == int32(v) {
-			newID[v] = id
-			centers[id] = int32(v)
-			id++
-		} else {
-			newID[v] = 0
-		}
-	}
-
-	// Gather surviving directed edges as packed (srcComp, tgtComp) pairs;
-	// targets were already relabeled to center ids by the decomposition.
-	var total int64
-	for v := 0; v < n; v++ {
-		total += int64(w.Deg[v])
-	}
-	kbits := uint(intsort.Bits(uint64(max(1, int64(k)-1))))
-	mask := uint64(1)<<kbits - 1
-	pairs := ws.Uint64(int(total))
-	out := 0
-	for v := 0; v < n; v++ {
-		src := uint64(uint32(newID[labels[v]])) << kbits
-		base := w.Offs[v]
-		for i := int64(0); i < int64(w.Deg[v]); i++ {
-			pairs[out] = src | uint64(uint32(newID[w.Adj[base+i]]))
-			out++
-		}
-	}
-	slices.Sort(pairs)
-	if m.opt.Dedup != DedupNone {
+	scratch := ws.Uint64(len(pairs))
+	intsort.SortUint64In(procs, pairs, int(2*bits), scratch)
+	ws.PutUint64(scratch)
+	if m.opt.Dedup == DedupSort {
+		// Drop adjacent duplicates in place, serially: parallel.PackInto
+		// does not fork at any size (ROADMAP), and a predicate closure
+		// capturing pairs would heap-allocate on every call, in every mode.
 		u := 0
-		for i := range pairs {
-			if i == 0 || pairs[i] != pairs[i-1] {
-				pairs[u] = pairs[i]
+		for i, p := range pairs {
+			if i == 0 || p != pairs[u-1] {
+				pairs[u] = p
 				u++
 			}
 		}
 		pairs = pairs[:u]
+		m.pairs = pairs
 	}
 	edgesOut = int64(len(pairs))
 
-	// Components with a surviving edge stay; singletons are dropped.
-	// compact is the exclusive scan of present (matching ExScan in the
-	// parallel version).
-	present = ws.Int32(k)
-	for c := range present {
-		present[c] = 0
-	}
-	for i := range pairs {
-		present[int32(pairs[i]>>kbits)] = 1
-	}
-	compact = ws.Int32(k)
-	kPrime := 0
-	for c := 0; c < k; c++ {
-		compact[c] = int32(kPrime)
-		if present[c] != 0 {
-			kPrime++
-		}
-	}
-	rep = ws.Int32(kPrime)
-	for c := 0; c < k; c++ {
-		if present[c] != 0 {
-			rep[compact[c]] = centers[c]
-		}
-	}
-	ws.PutInt32(centers)
-
-	// CSR build in compacted vertex space; pairs are sorted by (src, tgt),
-	// so first-of-source marks the offset and a backward sweep fills gaps.
-	subOffs := ws.Int64(kPrime + 1)
-	for v := range subOffs {
-		subOffs[v] = -1
-	}
-	subOffs[kPrime] = int64(len(pairs))
+	// Rank the surviving components from the sorted pairs. idx is written
+	// at every source and read at every target; the edge set is symmetric,
+	// so every target is a ranked source and idx needs no zero-fill.
 	subAdj := ws.Int32(len(pairs))
-	for i := range pairs {
-		src := compact[pairs[i]>>kbits]
-		subAdj[i] = compact[int32(pairs[i]&mask)]
-		if i == 0 || int32(pairs[i-1]>>kbits) != int32(pairs[i]>>kbits) {
-			subOffs[src] = int64(i)
-		}
-	}
-	for v := kPrime - 1; v >= 0; v-- {
-		if subOffs[v] < 0 {
-			subOffs[v] = subOffs[v+1]
-		}
-	}
+	m.subAdj = subAdj
+	pool.Blocks(procs, len(pairs), 0, m.fnFirst)
+	kPrime := int(parallel.ExScan(procs, subAdj))
+	rep = ws.Int32(kPrime)
+	idx := ws.Int32(n)
+	subOffs := ws.Int64(kPrime + 1)
+	subOffs[kPrime] = int64(len(pairs))
+	m.rep, m.idx, m.subOffs = rep, idx, subOffs
+	pool.Blocks(procs, len(pairs), 0, m.fnRank)
 	subDeg := ws.Int32(kPrime)
-	for v := 0; v < kPrime; v++ {
-		subDeg[v] = int32(subOffs[v+1] - subOffs[v])
-	}
+	m.subDeg = subDeg
+	pool.Blocks(procs, len(pairs), 0, m.fnSubAdj)
+	ws.PutInt32(idx)
 	ws.PutUint64(pairs)
 
 	*sub = decomp.WGraph{N: kPrime, Offs: subOffs, Adj: subAdj, Deg: subDeg}
-	return rep, present, compact, newID, edgesOut
+	m.w, m.labels, m.pairs, m.rep, m.idx = nil, nil, nil, nil, nil
+	m.subOffs, m.subAdj, m.subDeg = nil, nil, nil
+	return rep, edgesOut
 }

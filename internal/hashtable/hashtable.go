@@ -60,6 +60,13 @@ func (s *Set) Reset(procs int, slots []uint64) {
 	s.slots = slots
 	s.mask = uint64(size - 1)
 	s.count.Store(0)
+	if procs == 1 {
+		// Inline, so a one-worker caller builds no closure.
+		for i := range slots {
+			slots[i] = Empty
+		}
+		return
+	}
 	parallel.Blocks(procs, size, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			//parconn:allow mixedatomic pre-publication init; the Blocks join barrier publishes slots before any Insert
@@ -144,6 +151,18 @@ func (s *Set) Elements(procs int) []uint64 {
 // number written. Ordering matches Elements. Must not run concurrently with
 // Insert.
 func (s *Set) ElementsInto(procs int, dst []uint64) int {
+	if procs == 1 {
+		// Inline, so a one-worker caller builds no closure.
+		k := 0
+		//parconn:allow mixedatomic ElementsInto must not overlap Insert (phase-concurrency contract above)
+		for _, x := range s.slots {
+			if x != Empty {
+				dst[k] = x
+				k++
+			}
+		}
+		return k
+	}
 	//parconn:allow mixedatomic ElementsInto must not overlap Insert (phase-concurrency contract above)
 	//parconn:allow hotalloc one pack-predicate closure per compaction, inside the steady-state budget
 	return parallel.PackInto(procs, dst, s.slots, func(i int) bool { return s.slots[i] != Empty })

@@ -1,6 +1,7 @@
 package hashtable
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -73,6 +74,13 @@ func TestElementsMatchInserted(t *testing.T) {
 	got := s.Elements(2)
 	if len(got) != len(want) {
 		t.Fatalf("Elements len=%d want %d", len(got), len(want))
+	}
+	// ElementsInto gives the same table order, inline at one worker too.
+	for _, procs := range []int{1, 2} {
+		dst := make([]uint64, s.Len())
+		if k := s.ElementsInto(procs, dst); k != len(got) || !slices.Equal(dst, got) {
+			t.Fatalf("ElementsInto(%d) wrote %d keys, differing from Elements", procs, k)
+		}
 	}
 	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })

@@ -12,8 +12,9 @@
 // buffer acquired for level k is found again by the smaller request at
 // level k+1 instead of forcing a fresh allocation. Returned buffers are
 // DIRTY: callers own initialization (the algorithm overwrites almost every
-// buffer fully; the two exceptions — isCenter and present in contraction —
-// zero-fill explicitly).
+// buffer fully; the shifts histogram of start-round counts and the
+// hash-table slots are cleared explicitly, and contraction's n-wide idx map
+// is read only at entries it wrote).
 //
 // Ownership rules: a buffer obtained from Acquire is exclusively owned
 // until passed to the matching Put; Put transfers ownership back to the
