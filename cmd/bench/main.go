@@ -8,14 +8,9 @@
 //	bench -experiment all -scale 0.25     # everything, quarter-size inputs
 //	bench -experiment fig2 -threads 1,2,4 # explicit worker sweep
 //	bench -experiment ablation            # design-choice ablations
-//	bench -experiment json                # machine-readable BENCH_parconn.json
-//	bench -experiment speedup -procs 1,2,4   # efficiency sweep, BENCH_speedup.json
-//	bench -experiment serve               # serving QPS/latency, BENCH_serve.json
-//	bench -experiment churn               # insert/query churn, BENCH_churn.json
 //	bench -experiment table2 -trace t.jsonl  # also record an observability trace
 //
-// Experiments: table1, table2, fig2..fig8, ablation, work, json, speedup,
-// serve, churn, all.
+// Experiments: table1, table2, fig2..fig8, ablation, work, all.
 // See EXPERIMENTS.md for the mapping to the paper and the recorded runs.
 package main
 
@@ -44,17 +39,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		experiment = fs.String("experiment", "all", "experiment to run: table1,table2,fig2..fig8,ablation,work,json,speedup,serve,churn,all")
+		experiment = fs.String("experiment", "all", "experiment to run: table1,table2,fig2..fig8,ablation,work,all")
 		scale      = fs.Float64("scale", 1.0, "input size multiplier (1.0 = harness defaults, ~100x below paper sizes)")
 		trials     = fs.Int("trials", 3, "trials per measurement; median reported")
-		procs      = fs.String("procs", "0", "max workers (0 = all cores); a comma list like 1,2,4 sets the speedup sweep")
+		procs      = fs.Int("procs", 0, "max workers (0 = all cores)")
 		threads    = fs.String("threads", "", "comma-separated worker counts for fig2 (default 1,2,4,...,procs)")
 		seed       = fs.Uint64("seed", 42, "random seed")
 		csvDir     = fs.String("csv", "", "also write each table as CSV into this directory")
-		jsonPath   = fs.String("json", "", "output path for the json/speedup/serve experiments (default BENCH_<experiment>.json)")
 		tracePath  = fs.String("trace", "", "write a JSONL observability trace of every timed run (perturbs timings)")
 		httpAddr   = fs.String("http", "", "serve /debug/parconn, /debug/vars, and /debug/pprof on this address while experiments run")
-		sloTarget  = fs.Duration("slo", 0, "rolling-P99 SLO target graded during serve/churn runs (0 = 25ms default; gated by tracestat slo)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -80,32 +73,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	cfg := bench.Config{
-		Scale:        *scale,
-		Trials:       *trials,
-		Seed:         *seed,
-		Out:          stdout,
-		CSVDir:       *csvDir,
-		JSONPath:     *jsonPath,
-		SLOTargetP99: *sloTarget,
+	if *procs < 0 {
+		fmt.Fprintf(stderr, "bench: bad -procs %d\n", *procs)
+		return 2
 	}
-	// -procs is a single bound for most experiments; a comma list makes it
-	// the explicit sweep of the "speedup" experiment (and bounds the rest
-	// at the list's maximum).
-	for _, part := range strings.Split(*procs, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || (v < 1 && strings.Contains(*procs, ",")) || v < 0 {
-			fmt.Fprintf(stderr, "bench: bad -procs entry %q\n", part)
-			return 2
-		}
-		if strings.Contains(*procs, ",") {
-			cfg.ProcsList = append(cfg.ProcsList, v)
-			if v > cfg.Procs {
-				cfg.Procs = v
-			}
-		} else {
-			cfg.Procs = v
-		}
+	cfg := bench.Config{
+		Scale:  *scale,
+		Trials: *trials,
+		Procs:  *procs,
+		Seed:   *seed,
+		Out:    stdout,
+		CSVDir: *csvDir,
 	}
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)

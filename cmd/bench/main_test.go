@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -76,8 +75,18 @@ func TestBenchErrors(t *testing.T) {
 	// The unknown name must fail upfront with usage, before any experiment
 	// (or side effect like a trace file) starts.
 	if msg := errb.String(); !strings.Contains(msg, `unknown experiment "bogus"`) ||
-		!strings.Contains(msg, "usage:") || !strings.Contains(msg, "table2") || !strings.Contains(msg, "serve") {
+		!strings.Contains(msg, "usage:") || !strings.Contains(msg, "table2") {
 		t.Fatalf("unknown-experiment message wrong:\n%s", msg)
+	}
+	// serve and json name no experiment: perfbench measures serving.
+	for _, name := range []string{"serve", "json"} {
+		errb.Reset()
+		if code := run([]string{"-experiment", name}, &out, &errb); code != 2 {
+			t.Fatalf("-experiment %s: exit=%d", name, code)
+		}
+		if msg := errb.String(); !strings.Contains(msg, "unknown experiment") || !strings.Contains(msg, "table2") {
+			t.Fatalf("-experiment %s: message wrong:\n%s", name, msg)
+		}
 	}
 	if code := run([]string{"-threads", "x"}, &out, &errb); code == 0 {
 		t.Fatal("bad threads accepted")
@@ -90,6 +99,12 @@ func TestBenchErrors(t *testing.T) {
 	}
 	if code := run([]string{"-procs", "x"}, &out, &errb); code == 0 {
 		t.Fatal("bad procs accepted")
+	}
+	if code := run([]string{"-procs", "1,2,4"}, &out, &errb); code == 0 {
+		t.Fatal("procs list accepted")
+	}
+	if code := run([]string{"-procs", "-1"}, &out, &errb); code == 0 {
+		t.Fatal("negative procs accepted")
 	}
 }
 
@@ -115,43 +130,5 @@ func TestBenchUnknownExperimentNoTraceFile(t *testing.T) {
 	}
 	if _, err := os.Stat(tracePath); err == nil {
 		t.Fatal("trace file created despite unknown experiment")
-	}
-}
-
-// TestBenchServeExperiment runs the serving benchmark end to end at smoke
-// scale and validates the written BENCH_serve.json.
-func TestBenchServeExperiment(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	var out, errb bytes.Buffer
-	code := run([]string{"-experiment", "serve", "-scale", "0.01", "-procs", "2", "-json", path}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit=%d: %s", code, errb.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Vertices int `json:"vertices"`
-		Results  []struct {
-			Workload string  `json:"workload"`
-			Requests int64   `json:"requests"`
-			QPS      float64 `json:"qps"`
-			P99NS    int64   `json:"p99_ns"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Vertices <= 0 || len(rep.Results) != 4 {
-		t.Fatalf("report: vertices=%d results=%d", rep.Vertices, len(rep.Results))
-	}
-	for _, r := range rep.Results {
-		if r.Requests <= 0 || r.QPS <= 0 || r.P99NS <= 0 {
-			t.Fatalf("workload %s: %+v", r.Workload, r)
-		}
-	}
-	if !strings.Contains(out.String(), "wrote "+path) {
-		t.Fatalf("summary missing:\n%s", out.String())
 	}
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -113,49 +112,6 @@ func TestExperimentsSmoke(t *testing.T) {
 	}
 	if err := Run("nope", cfg); err == nil {
 		t.Fatal("unknown experiment accepted")
-	}
-}
-
-// TestWriteChurnSmoke runs the churn benchmark end to end at minuscule
-// scale: boot a server with the incremental layer, drive the mutating
-// workload at each insert fraction, and write a parseable report.
-func TestWriteChurnSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("churn smoke test drives a live HTTP server")
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "churn.json")
-	var buf bytes.Buffer
-	if err := Run("churn", Config{Scale: 0.002, Trials: 1, Procs: 2, Out: &buf, Seed: 1, JSONPath: path}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep ChurnReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != len(churnFractions) {
-		t.Fatalf("report has %d rows, want %d", len(rep.Results), len(churnFractions))
-	}
-	for i, r := range rep.Results {
-		if r.InsertFraction != churnFractions[i] || r.InsertBatch != ChurnInsertBatch {
-			t.Fatalf("row %d meta: %+v", i, r)
-		}
-		if r.Requests == 0 || r.Inserts == 0 {
-			t.Fatalf("row %d saw no traffic on one path: %d queries, %d inserts", i, r.Requests, r.Inserts)
-		}
-		if r.Errors != 0 || r.InsertErrors != 0 {
-			t.Fatalf("row %d errors: %d query, %d insert", i, r.Errors, r.InsertErrors)
-		}
-		if r.InsertP95NS <= 0 || r.QPS <= 0 {
-			t.Fatalf("row %d metrics: %+v", i, r)
-		}
-	}
-	if !strings.Contains(buf.String(), "wrote "+path) {
-		t.Fatalf("summary output wrong:\n%s", buf.String())
 	}
 }
 

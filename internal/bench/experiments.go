@@ -19,10 +19,6 @@ type Config struct {
 	// Threads lists the worker counts swept by Figure 2; empty means
 	// {1, 2, 4, ..., Procs}.
 	Threads []int
-	// ProcsList lists the worker counts swept by the "speedup" experiment
-	// (a comma list passed to cmd/bench -procs); empty means the Threads
-	// default. The first entry should be 1 so speedups read "vs serial".
-	ProcsList []int
 	// Seed drives all randomized algorithms.
 	Seed uint64
 	// Out receives the rendered tables.
@@ -30,19 +26,11 @@ type Config struct {
 	// CSVDir, when non-empty, additionally writes each table as a CSV file
 	// into this directory (created if needed).
 	CSVDir string
-	// JSONPath is where the "json" experiment writes its benchmark report;
-	// empty means BENCH_parconn.json in the working directory.
-	JSONPath string
 	// Recorder, if non-nil, receives the observability event stream of
 	// every timed connectivity run (one run_start/run_end pair per trial).
 	// Attaching a sink perturbs the timings slightly; leave nil for
 	// publication numbers.
 	Recorder parconn.Recorder
-	// SLOTargetP99 is the rolling-P99 latency target the serve and churn
-	// benchmarks grade scrape windows against (0 = 25ms). The resulting
-	// attainment fraction lands in BENCH_serve.json / BENCH_churn.json and
-	// is gated by `tracestat slo`.
-	SLOTargetP99 time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -61,9 +49,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Out == nil {
 		panic("bench: Config.Out is nil")
-	}
-	if c.SLOTargetP99 <= 0 {
-		c.SLOTargetP99 = 25 * time.Millisecond
 	}
 	return c
 }
@@ -384,47 +369,17 @@ var Experiments = []struct {
 }
 
 // ExperimentNames returns every name Run accepts, in display order: the
-// paper experiments, then the file-writing experiments and "all".
+// paper experiments, then "all".
 func ExperimentNames() []string {
-	names := make([]string, 0, len(Experiments)+4)
+	names := make([]string, 0, len(Experiments)+1)
 	for _, e := range Experiments {
 		names = append(names, e.Name)
 	}
-	return append(names, "json", "speedup", "serve", "churn", "all")
+	return append(names, "all")
 }
 
-// Run executes the named experiment ("all" runs every one in order; "json",
-// "speedup", "serve", and "churn" run the machine-readable benchmarks, which
-// are kept out of "all" because they write files next to the tables).
+// Run executes the named experiment ("all" runs every one in order).
 func Run(name string, cfg Config) error {
-	if name == "serve" {
-		path := cfg.JSONPath
-		if path == "" {
-			path = "BENCH_serve.json"
-		}
-		return WriteServe(cfg, path)
-	}
-	if name == "churn" {
-		path := cfg.JSONPath
-		if path == "" {
-			path = "BENCH_churn.json"
-		}
-		return WriteChurn(cfg, path)
-	}
-	if name == "json" {
-		path := cfg.JSONPath
-		if path == "" {
-			path = "BENCH_parconn.json"
-		}
-		return WriteJSON(cfg, path)
-	}
-	if name == "speedup" {
-		path := cfg.JSONPath
-		if path == "" {
-			path = "BENCH_speedup.json"
-		}
-		return WriteSpeedup(cfg, cfg.ProcsList, path)
-	}
 	if name == "all" {
 		for _, e := range Experiments {
 			e.Run(cfg)

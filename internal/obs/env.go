@@ -1,16 +1,11 @@
 package obs
 
-import (
-	"fmt"
-	"runtime"
-	"strings"
-)
+import "runtime"
 
 // Env records the execution environment a trace was captured in. Phase
 // durations from different environments are not comparable — a trace
 // captured at GOMAXPROCS=1 has no parallel rounds at all — so RunStart
-// events and JSONL trace headers carry an Env, and cmd/tracestat warns
-// before diffing across mismatched ones.
+// events and JSONL trace headers carry an Env.
 type Env struct {
 	GoVersion  string `json:"go_version,omitempty"`
 	GoMaxProcs int    `json:"gomaxprocs,omitempty"`
@@ -34,41 +29,6 @@ func CaptureEnv() Env {
 // the field existed).
 func (e Env) IsZero() bool { return e == Env{} }
 
-// String renders the environment on one line.
-func (e Env) String() string {
-	return fmt.Sprintf("%s %s/%s gomaxprocs=%d numcpu=%d",
-		e.GoVersion, e.OS, e.Arch, e.GoMaxProcs, e.NumCPU)
-}
-
-// Mismatch lists the fields on which e and o differ, in "field: a vs b"
-// form, empty when the environments agree. Zero-valued fields on either
-// side are skipped: an absent recording is unknown, not different.
-func (e Env) Mismatch(o Env) []string {
-	var out []string
-	diff := func(field, a, b string) {
-		if a != "" && b != "" && a != b {
-			out = append(out, fmt.Sprintf("%s: %s vs %s", field, a, b))
-		}
-	}
-	diffInt := func(field string, a, b int) {
-		if a != 0 && b != 0 && a != b {
-			out = append(out, fmt.Sprintf("%s: %d vs %d", field, a, b))
-		}
-	}
-	diff("go_version", e.GoVersion, o.GoVersion)
-	diffInt("gomaxprocs", e.GoMaxProcs, o.GoMaxProcs)
-	diffInt("num_cpu", e.NumCPU, o.NumCPU)
-	diff("os/arch", joinOSArch(e), joinOSArch(o))
-	return out
-}
-
-func joinOSArch(e Env) string {
-	if e.OS == "" && e.Arch == "" {
-		return ""
-	}
-	return strings.TrimSuffix(e.OS+"/"+e.Arch, "/")
-}
-
 // Meta is the trace header record: the first line a JSONLWriter emits, so a
 // trace file identifies its capture environment even before the first run.
 // It is written by the sink itself, not delivered through the Recorder
@@ -76,23 +36,4 @@ func joinOSArch(e Env) string {
 type Meta struct {
 	Tool string `json:"tool,omitempty"` // writing program, e.g. "cmd/connect"
 	Env  Env    `json:"env"`
-}
-
-// EnvOf extracts the capture environment of a parsed trace: the first
-// non-zero Env found in a meta header or RunStart event, zero when the
-// trace predates environment recording.
-func EnvOf(events []Event) Env {
-	for _, ev := range events {
-		switch e := ev.V.(type) {
-		case Meta:
-			if !e.Env.IsZero() {
-				return e.Env
-			}
-		case RunStart:
-			if e.Env != nil && !e.Env.IsZero() {
-				return *e.Env
-			}
-		}
-	}
-	return Env{}
 }

@@ -131,8 +131,7 @@ type HistogramBucket struct {
 }
 
 // HistogramSnapshot is a point-in-time copy of a Histogram, carrying only
-// the non-empty buckets. It is the JSON shape served by /debug/parconn and
-// the aggregation unit cmd/tracestat builds its tables from.
+// the non-empty buckets. It is the JSON shape served by /debug/parconn.
 type HistogramSnapshot struct {
 	Count   int64             `json:"count"`
 	Sum     int64             `json:"sum"`

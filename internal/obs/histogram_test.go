@@ -166,27 +166,6 @@ func TestHistogramSet(t *testing.T) {
 	}
 }
 
-func TestEnvMismatch(t *testing.T) {
-	here := CaptureEnv()
-	if here.IsZero() || here.GoVersion == "" || here.NumCPU < 1 {
-		t.Fatalf("CaptureEnv %+v", here)
-	}
-	if diffs := here.Mismatch(here); len(diffs) != 0 {
-		t.Fatalf("self-mismatch: %v", diffs)
-	}
-	// Unknown (zero) fields on one side never count as differences.
-	if diffs := here.Mismatch(Env{}); len(diffs) != 0 {
-		t.Fatalf("zero-env mismatch: %v", diffs)
-	}
-	other := here
-	other.GoMaxProcs = here.GoMaxProcs + 7
-	other.OS = "plan9"
-	diffs := here.Mismatch(other)
-	if len(diffs) != 2 {
-		t.Fatalf("mismatch %v want gomaxprocs and os/arch entries", diffs)
-	}
-}
-
 // TestQuantileEdgeCases pins exact values for the snapshot quantile
 // estimator on the configurations that used to go wrong: single-sample
 // snapshots, all mass in one bucket, ranks landing exactly on a bucket

@@ -21,7 +21,7 @@
 // `# HELP`/`# TYPE` headers per family, one `name{labels} value` line per
 // series, histogram families expanded into cumulative `_bucket{le=...}`
 // plus `_sum`/`_count`. ParseText reads the same format back, which is what
-// the serveload SLO scraper and the metrics-smoke CI lane build on.
+// the metrics-smoke CI lane builds on.
 package metrics
 
 import (
@@ -313,10 +313,6 @@ func (r *Registry) RollingQuantilesNS(name, help string, ls Labels, rh *RollingH
 func trimFloat(f float64) string {
 	return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.6f", f), "0"), ".")
 }
-
-// QuantileLabel renders q exactly as RollingQuantilesNS writes the quantile
-// label value, so scrapers can reconstruct the series key.
-func QuantileLabel(q float64) string { return trimFloat(q) }
 
 // exposedFamily is the lock-free view exposition iterates: family metadata
 // plus its series sorted by label signature. The *series values are stable

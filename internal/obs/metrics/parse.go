@@ -12,9 +12,8 @@ import (
 // series-to-value map, keyed exactly as written ("name" or
 // `name{label="value",...}`). Comment and blank lines are skipped; a
 // malformed sample line is an error. It is the inverse this package's
-// WriteText needs for self-checks, the serveload SLO scraper, and the
-// metrics-smoke CI lane — not a full openmetrics parser (no timestamps, no
-// exemplars).
+// WriteText needs for self-checks and the metrics-smoke CI lane — not a
+// full openmetrics parser (no timestamps, no exemplars).
 func ParseText(r io.Reader) (map[string]float64, error) {
 	out := make(map[string]float64)
 	sc := bufio.NewScanner(r)

@@ -122,8 +122,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if !ok || meta.Env.IsZero() || meta.Tool != "obs_test" {
 		t.Fatalf("live header parsed as %+v", parsedLive[0])
 	}
-	if got := EnvOf(parsedLive); got != CaptureEnv() {
-		t.Fatalf("EnvOf = %+v want current env", got)
+	if meta.Env != CaptureEnv() {
+		t.Fatalf("header env = %+v want current env", meta.Env)
 	}
 	sum, err := Validate(parsedLive)
 	if err != nil {

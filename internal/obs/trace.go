@@ -126,34 +126,6 @@ func (t *Trace) Counters() []Counter {
 	return out
 }
 
-// Replay dispatches already-parsed events back into a Recorder, so offline
-// tools can push a stored trace through the same sinks live runs use (e.g.
-// HistogramSet aggregation in cmd/tracestat). Meta headers carry no run
-// state and are skipped; a nil Recorder is a no-op.
-func Replay(rec Recorder, events []Event) {
-	if rec == nil {
-		return
-	}
-	for _, ev := range events {
-		switch v := ev.V.(type) {
-		case RunStart:
-			rec.RunStart(v)
-		case RunEnd:
-			rec.RunEnd(v)
-		case LevelStart:
-			rec.LevelStart(v)
-		case LevelEnd:
-			rec.LevelEnd(v)
-		case Round:
-			rec.Round(v)
-		case Phase:
-			rec.Phase(v)
-		case Counter:
-			rec.Counter(v)
-		}
-	}
-}
-
 // WriteJSONL re-emits the recorded events as JSON lines to w, in the same
 // encoding the live JSONLWriter produces.
 func (t *Trace) WriteJSONL(w io.Writer) error {

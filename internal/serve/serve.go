@@ -6,9 +6,8 @@
 // ([Server.Publish]) and never mutated afterwards, so every query handler
 // reads it lock-free and concurrently; until Publish, the /v1 endpoints
 // answer 503 and /v1/healthz acts as the readiness gate. Per-endpoint
-// latency is recorded into wait-free obs.Histograms and exposed both in
-// /v1/stats and programmatically for the serving benchmark
-// (internal/bench/serveload).
+// latency is recorded into wait-free obs.Histograms and exposed in
+// /v1/stats.
 //
 // Endpoints (all JSON):
 //

@@ -109,17 +109,9 @@ type Env = obs.Env
 // CPU count, OS/arch).
 func CaptureEnv() Env { return obs.CaptureEnv() }
 
-// TraceEnvOf extracts the capture environment of a parsed trace (from its
-// meta header or first RunStart), zero when the trace predates recording.
-func TraceEnvOf(events []TraceEvent) Env { return obs.EnvOf(events) }
-
 // TraceEvent is one parsed trace record: the JSONL kind tag plus the
 // concrete event struct (RunStart, Round, ...) by value.
 type TraceEvent = obs.Event
-
-// ReplayTrace dispatches parsed trace events back into a Recorder, letting
-// offline tools aggregate stored traces through the live sinks.
-func ReplayTrace(rec Recorder, events []TraceEvent) { obs.Replay(rec, events) }
 
 // ParseTrace decodes a JSONL trace stream (as written by JSONLRecorder or
 // Trace.WriteJSONL) back into typed events.

@@ -13,10 +13,17 @@ pair runs `python3 perfbench/run.py --workload W --seed S --seconds 30
 --trace 0` once on each side, with seeds S = 11, 12, ...; odd seeds run the
 change first, even seeds the parent, so drift on a shared host lands on
 both sides. The run length and seeds are fixed so that every table compares
-runs of the length the benchmark itself uses. The end-to-end metrics and their directions come
-from BENCHMARK.json. The result is a markdown table in EXPERIMENTS.md's
-format: median [first quartile, third quartile] per side, the change of
-the medians, and the number of pairs the change won.
+runs of the length the benchmark itself uses. The end-to-end metrics, their
+directions and their bounds come from BENCHMARK.json. The result is a
+markdown table in EXPERIMENTS.md's format: median [first quartile, third
+quartile] per side, the change of the medians, the number of pairs the
+change won, and a verdict.
+
+A metric is REGRESSED when the change's median is worse than the parent's
+by more than max(bound * parent median, parent IQR): the metric's bound,
+unless the parent's own spread is wider. The exit status is 1 on any
+regression, on any incorrect or failed run, and when a metric is missing
+from a run on either side; otherwise 0.
 """
 
 import argparse
@@ -70,26 +77,56 @@ def fmt(x):
     return "{:.3g}".format(x)
 
 
-def table(workload, metrics, before, after):
-    """The markdown rows for one workload; before/after are lists of results."""
-    rows = ["| workload | metric | before | after | change | wins |",
-            "|---|---|---|---|---|---|"]
-    for m in metrics:
-        name = m["name"]
-        b = [r["metrics"][name]["value"] for r in before if name in r["metrics"]]
-        a = [r["metrics"][name]["value"] for r in after if name in r["metrics"]]
-        if len(a) != len(b) or not a:
-            continue
-        lower = m["better"] == "lower"
-        wins = sum(1 for x, y in zip(b, a) if (y < x if lower else y > x))
-        bm, b1, b3 = quartiles(b)
-        am, a1, a3 = quartiles(a)
-        change = (am - bm) / bm * 100 if bm else 0.0
-        sign = "+" if change >= 0 else "−"
-        rows.append("| %s | `%s` | %s [%s, %s] | %s [%s, %s] | %s%.0f%% | %d/%d |" % (
-            workload, name, fmt(bm), fmt(b1), fmt(b3), fmt(am), fmt(a1), fmt(a3),
-            sign, abs(change), wins, len(a)))
-    return "\n".join(rows)
+def values(name, runs, side):
+    """The values of one metric over runs; a run without it is an error."""
+    missing = sum(1 for r in runs if name not in r["metrics"])
+    if missing or not runs:
+        raise ValueError("metric %s missing from %d of %d %s runs" % (
+            name, missing, len(runs), side))
+    return [r["metrics"][name]["value"] for r in runs]
+
+
+def compare(metric, before, after):
+    """Compare one BENCHMARK.json end-to-end metric over the two sides' runs.
+
+    Returns a dict of the medians, quartiles, wins and verdict. "worse_by" is
+    how far the change's median is on the wrong side of the parent's, in the
+    metric's unit (negative when the change is better).
+    """
+    name = metric["name"]
+    b = values(name, before, "parent")
+    a = values(name, after, "change")
+    if len(a) != len(b):
+        raise ValueError("metric %s: %d parent runs but %d change runs" % (name, len(b), len(a)))
+    lower = metric["better"] == "lower"
+    bm, b1, b3 = quartiles(b)
+    am, a1, a3 = quartiles(a)
+    worse_by = am - bm if lower else bm - am
+    return {
+        "name": name,
+        "before": (bm, b1, b3),
+        "after": (am, a1, a3),
+        "change": (am - bm) / bm * 100 if bm else 0.0,
+        "wins": sum(1 for x, y in zip(b, a) if (y < x if lower else y > x)),
+        "pairs": len(a),
+        "worse_by": worse_by,
+        "regressed": worse_by > max(metric["bound"] * bm, b3 - b1),
+    }
+
+
+def table(workload, rows):
+    """The markdown table of one workload's compare() rows."""
+    out = ["| workload | metric | before | after | change | wins | verdict |",
+           "|---|---|---|---|---|---|---|"]
+    for r in rows:
+        bm, b1, b3 = r["before"]
+        am, a1, a3 = r["after"]
+        sign = "+" if r["change"] >= 0 else "−"
+        out.append("| %s | `%s` | %s [%s, %s] | %s [%s, %s] | %s%.0f%% | %d/%d | %s |" % (
+            workload, r["name"], fmt(bm), fmt(b1), fmt(b3), fmt(am), fmt(a1), fmt(a3),
+            sign, abs(r["change"]), r["wins"], r["pairs"],
+            "REGRESSED" if r["regressed"] else "ok"))
+    return "\n".join(out)
 
 
 def main():
@@ -118,11 +155,21 @@ def main():
                     i + 1, seed, label, res["correct"], res["failed"], p50),
                     file=sys.stderr, flush=True)
         bad = [r for r in before + after if not r["correct"] or r["failed"]]
-        print(table(args.workload, metrics, before, after))
+        try:
+            rows = [compare(m, before, after) for m in metrics]
+        except ValueError as e:
+            print("perfpairs: %s" % e, file=sys.stderr)
+            return 1
+        print(table(args.workload, rows))
+        status = 0
         if bad:
             print("perfpairs: %d runs were incorrect or had failures" % len(bad), file=sys.stderr)
-            return 1
-        return 0
+            status = 1
+        regressed = [r["name"] for r in rows if r["regressed"]]
+        if regressed:
+            print("perfpairs: REGRESSED: %s" % ", ".join(regressed), file=sys.stderr)
+            status = 1
+        return status
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
