@@ -202,13 +202,14 @@ func BenchmarkFig4EdgeDecay(b *testing.B) {
 	g := RandomGraph(200_000, 5, 0xF4)
 	for _, beta := range []float64{0.1, 0.3, 0.5} {
 		b.Run(fmt.Sprintf("beta=%.1f", beta), func(b *testing.B) {
-			var levels []LevelStat
+			tr := NewTrace()
 			for i := 0; i < b.N; i++ {
-				levels = levels[:0]
-				if _, err := ConnectedComponents(g, Options{Algorithm: DecompArbHybrid, Beta: beta, Seed: 42, Levels: &levels}); err != nil {
+				tr.Reset()
+				if _, err := ConnectedComponents(g, Options{Algorithm: DecompArbHybrid, Beta: beta, Seed: 42, Recorder: tr}); err != nil {
 					b.Fatal(err)
 				}
 			}
+			levels := tr.LevelEnds()
 			if len(levels) > 1 {
 				first := float64(levels[0].EdgesIn)
 				last := float64(levels[len(levels)-1].EdgesIn)

@@ -134,14 +134,6 @@ const (
 	DedupNone = core.DedupNone
 )
 
-// PhaseTimes accumulates per-phase wall-clock time for the decomposition
-// algorithms (the paper's Figures 5-7 breakdowns).
-type PhaseTimes = decomp.PhaseTimes
-
-// LevelStat describes one recursion level of a decomposition-based run
-// (the paper's Figure 4 per-iteration edge counts).
-type LevelStat = core.LevelStat
-
 // Options configures ConnectedComponents.
 type Options struct {
 	// Algorithm selects the implementation; zero is DecompArbHybrid.
@@ -164,13 +156,6 @@ type Options struct {
 	// (the paper's optional high-degree optimization, §4; DecompArb only).
 	// Zero disables it, matching the paper's final configuration.
 	EdgeParallel int
-	// Phases, if non-nil, accumulates per-phase times (decomposition
-	// algorithms only). A compatibility view over the Recorder stream.
-	Phases *PhaseTimes
-	// Levels, if non-nil, receives per-recursion-level statistics
-	// (decomposition algorithms only). A compatibility view over the
-	// Recorder stream.
-	Levels *[]LevelStat
 	// Recorder, if non-nil, receives the structured observability event
 	// stream: run start/end for every algorithm, plus per-level, per-round,
 	// per-phase, and counter events for the decomposition algorithms. See
@@ -266,8 +251,6 @@ func connectedComponents(g *Graph, opt Options) ([]int32, error) {
 			DenseFrac:    opt.DenseFrac,
 			Dedup:        opt.Dedup,
 			EdgeParallel: opt.EdgeParallel,
-			Phases:       opt.Phases,
-			Levels:       opt.Levels,
 			Recorder:     opt.Recorder,
 		})
 	case SerialSF:

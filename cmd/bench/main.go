@@ -47,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed       = fs.Uint64("seed", 42, "random seed")
 		csvDir     = fs.String("csv", "", "also write each table as CSV into this directory")
 		tracePath  = fs.String("trace", "", "write a JSONL observability trace of every timed run (perturbs timings)")
-		httpAddr   = fs.String("http", "", "serve /debug/parconn, /debug/vars, and /debug/pprof on this address while experiments run")
+		httpAddr   = fs.String("http", "", "serve /metrics, /debug/parconn, and /debug/pprof on this address while experiments run")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

@@ -54,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stats     = fs.Bool("stats", false, "print structural statistics of the input graph")
 		tracePath = fs.String("trace", "", "write the observability event stream to this file as JSONL")
 		validate  = fs.String("validate-trace", "", "validate a JSONL trace file written by -trace and exit")
-		httpAddr  = fs.String("http", "", "serve /debug/parconn, /debug/vars, and /debug/pprof on this address (e.g. :6060) while the run executes")
+		httpAddr  = fs.String("http", "", "serve /metrics, /debug/parconn, and /debug/pprof on this address (e.g. :6060) while the run executes")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -12,9 +12,9 @@
 // POST /v1/insert (batched edge insertion into the incremental layer,
 // unless -incremental=false), GET /v1/stats, GET /v1/healthz (see
 // internal/serve), GET /metrics (Prometheus text: request counters, error
-// taxonomy, rolling latency quantiles, runtime series), plus the obshttp
-// debug surface (/debug/parconn, /debug/vars, /debug/pprof/) fed by the
-// labeling run.
+// taxonomy, latency histograms and rolling quantiles, the labeling run's
+// engine series, runtime series), plus the obshttp debug surface
+// (/debug/parconn, /debug/pprof/) fed by the labeling run.
 //
 // Every /v1 request carries a Parconn-Trace-Id response header (client
 // value echoed when supplied); one request in -span-sample is recorded as
@@ -119,7 +119,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Spans:       obs.MultiSpan(spanSinks...),
 		SampleEvery: *sample,
 	})
-	sv := serve.New(serve.Config{MaxBatch: *maxBatch, TopK: *topK, Observer: observer, Metrics: state.Metrics})
+	sv := serve.New(serve.Config{MaxBatch: *maxBatch, TopK: *topK, Observer: observer})
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", sv.Handler())
 	mux.Handle("/", state.Handler())

@@ -115,7 +115,7 @@ func TestServeLifecycle(t *testing.T) {
 		t.Fatalf("batch: status %d", resp.StatusCode)
 	}
 
-	// Stats reflects the generated graph and records endpoint latencies.
+	// Stats reflects the generated graph.
 	resp, err = client.Get(base + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -124,9 +124,6 @@ func TestServeLifecycle(t *testing.T) {
 		Vertices  int    `json:"vertices"`
 		Algorithm string `json:"algorithm"`
 		Source    string `json:"source"`
-		Endpoints map[string]struct {
-			Count int64 `json:"count"`
-		} `json:"endpoints"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
@@ -135,19 +132,16 @@ func TestServeLifecycle(t *testing.T) {
 	if st.Vertices != 2000 || !strings.Contains(st.Source, "random") {
 		t.Fatalf("stats: %+v", st)
 	}
-	if st.Endpoints["component"].Count != 1 || st.Endpoints["batch"].Count != 1 {
-		t.Fatalf("endpoint counts: %+v", st.Endpoints)
-	}
 
 	// The debug mux is mounted alongside /v1.
-	resp, err = client.Get(base + "/debug/vars")
+	resp, err = client.Get(base + "/debug/parconn")
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("debug vars: status %d", resp.StatusCode)
+		t.Fatalf("debug parconn: status %d", resp.StatusCode)
 	}
 
 	// Graceful shutdown: cancel the context, run must drain and return 0,
@@ -477,8 +471,9 @@ func TestShutdownWhileDrainingInFlight(t *testing.T) {
 // drive a little traffic, scrape /metrics, and validate both the exposition
 // format and the presence of every required series family — request
 // counters, error taxonomy, rolling quantile gauges, cumulative duration
-// histograms, and runtime metrics. It also pins the trace-ID header and the
-// -request-trace JSONL span file end to end.
+// histograms, the startup labeling run's engine series, and runtime
+// metrics. It also pins the trace-ID header and the -request-trace JSONL
+// span file end to end.
 func TestMetricsEndpoint(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -575,6 +570,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`parconn_http_spans_sampled_total`:                                  8,
 		`parconn_ready`:                                                     1,
 		`parconn_published_epoch`:                                           1,
+		`parconn_runs_total`:                                                1,
 	}
 	for key, want := range expect {
 		got, ok := parsed[key]
@@ -602,6 +598,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if parsed[`parconn_http_rolling_latency_seconds{endpoint="component",quantile="0.99"}`] <= 0 {
 		t.Error("rolling P99 is zero right after traffic")
+	}
+	for _, key := range []string{"parconn_levels_total", `parconn_phase_seconds_total{phase="contract"}`} {
+		if parsed[key] <= 0 {
+			t.Errorf("%s = %v after the startup labeling, want > 0", key, parsed[key])
+		}
 	}
 
 	// Shutdown flushes the span trace; every request above was sampled.

@@ -148,10 +148,11 @@ func TestQuickDecompositionInvariants(t *testing.T) {
 func TestLevelsShrinkGeometrically(t *testing.T) {
 	for _, gname := range []string{"random", "rmat", "grid3d", "line"} {
 		g := integrationGraphs()[gname]
-		var levels []LevelStat
-		if _, err := ConnectedComponents(g, Options{Algorithm: DecompArbHybrid, Beta: 0.2, Seed: 3, Levels: &levels}); err != nil {
+		tr := NewTrace()
+		if _, err := ConnectedComponents(g, Options{Algorithm: DecompArbHybrid, Beta: 0.2, Seed: 3, Recorder: tr}); err != nil {
 			t.Fatal(err)
 		}
+		levels := tr.LevelEnds()
 		if len(levels) == 0 {
 			t.Fatalf("%s: no levels", gname)
 		}

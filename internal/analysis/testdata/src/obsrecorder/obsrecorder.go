@@ -54,9 +54,9 @@ func racyProgressSink(p *obs.Progress, xs []int) {
 	})
 }
 
-func racyHistogramSet(hs *obs.HistogramSet, xs []int) {
+func racyEngineRecorder(er *metrics.EngineRecorder, xs []int) {
 	parallel.For(0, len(xs), func(i int) {
-		hs.Phase(obs.Phase{Name: "init"}) // want "Phase"
+		er.Phase(obs.Phase{Name: "init"}) // want "Phase"
 	})
 }
 

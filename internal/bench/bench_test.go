@@ -5,9 +5,13 @@ import (
 	"encoding/csv"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"parconn"
+	"parconn/internal/obs"
 )
 
 func TestInputsCoverPaperTable1(t *testing.T) {
@@ -139,5 +143,31 @@ func TestCSVEmission(t *testing.T) {
 func TestSlugify(t *testing.T) {
 	if slugify("Figure 5-decomp-min-CC") != "figure-5-decomp-min-cc" {
 		t.Fatalf("got %q", slugify("Figure 5-decomp-min-CC"))
+	}
+}
+
+// TestPhaseColumnsFold pins the Figures 5-7 fold on a hand-built trace:
+// phases sum by name across levels, setup is charged to init, and measure
+// lands in no column.
+func TestPhaseColumnsFold(t *testing.T) {
+	ms := time.Millisecond
+	tr := parconn.NewTrace()
+	for _, p := range []parconn.Phase{
+		{Level: 0, Name: obs.PhaseSetup, Duration: 1 * ms},
+		{Level: 0, Name: obs.PhaseInit, Duration: 2 * ms},
+		{Level: 0, Name: obs.PhaseBFSSparse, Duration: 4 * ms},
+		{Level: 0, Name: obs.PhaseMeasure, Duration: 8 * ms},
+		{Level: 0, Name: obs.PhaseContract, Duration: 16 * ms},
+		{Level: 1, Name: obs.PhaseInit, Duration: 32 * ms},
+		{Level: 1, Name: obs.PhaseBFSSparse, Duration: 64 * ms},
+		{Level: 1, Name: obs.PhaseFilterEdges, Duration: 128 * ms},
+	} {
+		tr.Phase(p)
+	}
+	cols := []string{obs.PhaseInit, obs.PhaseBFSPre, obs.PhaseBFSSparse, obs.PhaseBFSDense, obs.PhaseFilterEdges, obs.PhaseContract}
+	got := phaseColumns(tr.Phases(), cols)
+	want := []time.Duration{35 * ms, 0, 68 * ms, 0, 128 * ms, 16 * ms}
+	if !slices.Equal(got, want) {
+		t.Fatalf("columns %v, want %v", got, want)
 	}
 }

@@ -3,9 +3,11 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"parconn"
+	"parconn/internal/obs"
 )
 
 // Config drives the experiment harness.
@@ -234,18 +236,15 @@ func Fig4(cfg Config) {
 		series := make([][]int64, len(betas))
 		maxLen := 0
 		for i, beta := range betas {
-			var levels []parconn.LevelStat
-			if _, err := parconn.ConnectedComponents(g, parconn.Options{
-				Algorithm: parconn.DecompArbHybrid, Beta: beta, Procs: cfg.Procs, Seed: cfg.Seed, Levels: &levels,
-			}); err != nil {
-				panic(err)
-			}
+			levels := traced(g, parconn.Options{
+				Algorithm: parconn.DecompArbHybrid, Beta: beta, Procs: cfg.Procs, Seed: cfg.Seed,
+			}).LevelEnds()
 			s := make([]int64, 0, len(levels)+1)
 			if len(levels) > 0 {
 				s = append(s, levels[0].EdgesIn)
 			}
-			for _, ls := range levels {
-				s = append(s, ls.EdgesOut)
+			for _, e := range levels {
+				s = append(s, e.EdgesOut)
 			}
 			series[i] = s
 			if len(s) > maxLen {
@@ -269,11 +268,40 @@ func Fig4(cfg Config) {
 	}
 }
 
-// breakdown runs one decomposition CC and prints its phase breakdown for
-// the graphs Figures 5-7 use.
-func breakdown(cfg Config, alg parconn.Algorithm, figure string, phases []string, get func(*parconn.PhaseTimes) []time.Duration) {
+// traced runs ConnectedComponents once with a fresh Trace as its Recorder
+// and returns the trace.
+func traced(g *parconn.Graph, opt parconn.Options) *parconn.Trace {
+	tr := parconn.NewTrace()
+	opt.Recorder = tr
+	if _, err := parconn.ConnectedComponents(g, opt); err != nil {
+		panic(err)
+	}
+	return tr
+}
+
+// phaseColumns sums a trace's Phase events into one total per entry of
+// cols, across levels. This is the Figures 5-7 fold: setup (the driver's
+// working-graph copy) is charged to init, and a phase not in cols, such as
+// measure (per-level reductions done only for tracing), counts nowhere.
+func phaseColumns(phases []parconn.Phase, cols []string) []time.Duration {
+	out := make([]time.Duration, len(cols))
+	for _, p := range phases {
+		name := p.Name
+		if name == obs.PhaseSetup {
+			name = obs.PhaseInit
+		}
+		if i := slices.Index(cols, name); i >= 0 {
+			out[i] += p.Duration
+		}
+	}
+	return out
+}
+
+// breakdown runs one decomposition CC per Figures 5-7 input and prints the
+// summed time of each phase in phases, titled by the paper's labels cols.
+func breakdown(cfg Config, alg parconn.Algorithm, figure string, cols, phases []string) {
 	cfg = cfg.withDefaults()
-	header := append([]string{"Input"}, phases...)
+	header := append([]string{"Input"}, cols...)
 	header = append(header, "total")
 	t := NewTable(header...)
 	for _, name := range figSweepInputs {
@@ -282,18 +310,15 @@ func breakdown(cfg Config, alg parconn.Algorithm, figure string, phases []string
 			panic(err)
 		}
 		g := in.Make(cfg.Scale)
-		var pt parconn.PhaseTimes
 		// One warm run, then the measured run (breakdowns are shown for a
 		// single run in the paper, not medians).
 		if _, err := parconn.ConnectedComponents(g, parconn.Options{Algorithm: alg, Procs: cfg.Procs, Seed: cfg.Seed}); err != nil {
 			panic(err)
 		}
-		if _, err := parconn.ConnectedComponents(g, parconn.Options{Algorithm: alg, Procs: cfg.Procs, Seed: cfg.Seed, Phases: &pt}); err != nil {
-			panic(err)
-		}
+		tr := traced(g, parconn.Options{Algorithm: alg, Procs: cfg.Procs, Seed: cfg.Seed})
 		row := []string{name}
 		var total time.Duration
-		for _, d := range get(&pt) {
+		for _, d := range phaseColumns(tr.Phases(), phases) {
 			row = append(row, Seconds(d))
 			total += d
 		}
@@ -308,27 +333,21 @@ func breakdown(cfg Config, alg parconn.Algorithm, figure string, phases []string
 func Fig5(cfg Config) {
 	breakdown(cfg, parconn.DecompMin, "Figure 5",
 		[]string{"init", "bfsPre", "bfsPhase1", "bfsPhase2", "contractGraph"},
-		func(p *parconn.PhaseTimes) []time.Duration {
-			return []time.Duration{p.Init, p.BFSPre, p.BFSPhase1, p.BFSPhase2, p.Contract}
-		})
+		[]string{obs.PhaseInit, obs.PhaseBFSPre, obs.PhaseBFSPhase1, obs.PhaseBFSPhase2, obs.PhaseContract})
 }
 
 // Fig6 regenerates Figure 6: decomp-arb-CC phase breakdown.
 func Fig6(cfg Config) {
 	breakdown(cfg, parconn.DecompArb, "Figure 6",
 		[]string{"init", "bfsPre", "bfsMain", "contractGraph"},
-		func(p *parconn.PhaseTimes) []time.Duration {
-			return []time.Duration{p.Init, p.BFSPre, p.BFSMain, p.Contract}
-		})
+		[]string{obs.PhaseInit, obs.PhaseBFSPre, obs.PhaseBFSMain, obs.PhaseContract})
 }
 
 // Fig7 regenerates Figure 7: decomp-arb-hybrid-CC phase breakdown.
 func Fig7(cfg Config) {
 	breakdown(cfg, parconn.DecompArbHybrid, "Figure 7",
 		[]string{"init", "bfsPre", "bfsSparse", "bfsDense", "filterEdges", "contractGraph"},
-		func(p *parconn.PhaseTimes) []time.Duration {
-			return []time.Duration{p.Init, p.BFSPre, p.BFSSparse, p.BFSDense, p.FilterEdges, p.Contract}
-		})
+		[]string{obs.PhaseInit, obs.PhaseBFSPre, obs.PhaseBFSSparse, obs.PhaseBFSDense, obs.PhaseFilterEdges, obs.PhaseContract})
 }
 
 // Fig8 regenerates Figure 8: decomp-arb-hybrid-CC time versus problem size

@@ -62,16 +62,13 @@ func Work(cfg Config) {
 }
 
 func workOf(g *parconn.Graph, beta float64, cfg Config) (levels int, processed int64) {
-	var stats []parconn.LevelStat
-	if _, err := parconn.ConnectedComponents(g, parconn.Options{
-		Algorithm: parconn.DecompArbHybrid, Beta: beta, Procs: cfg.Procs, Seed: cfg.Seed, Levels: &stats,
-	}); err != nil {
-		panic(err)
+	ends := traced(g, parconn.Options{
+		Algorithm: parconn.DecompArbHybrid, Beta: beta, Procs: cfg.Procs, Seed: cfg.Seed,
+	}).LevelEnds()
+	for _, e := range ends {
+		processed += e.EdgesIn
 	}
-	for _, ls := range stats {
-		processed += ls.EdgesIn
-	}
-	return len(stats), processed
+	return len(ends), processed
 }
 
 func ratio(a, b int64) string {

@@ -89,14 +89,6 @@ type Options struct {
 	EdgeParallel int
 	// Dedup selects duplicate-edge removal during contraction.
 	Dedup DedupMode
-	// Phases, if non-nil, accumulates per-phase wall time across all levels
-	// (Figures 5-7). It is a compatibility view over the Recorder event
-	// stream: CC folds it into Recorder via decomp.PhasesRecorder.
-	Phases *decomp.PhaseTimes
-	// Levels, if non-nil, receives one entry per recursion level
-	// (Figure 4's remaining-edge counts). Like Phases, a compatibility view
-	// folded into Recorder via LevelsRecorder.
-	Levels *[]LevelStat
 	// Recorder, if non-nil, receives the structured event stream: level
 	// start/end, per-round, per-phase, and end-of-run counter events (see
 	// internal/obs). With a Recorder attached, decomposition levels also run
@@ -110,17 +102,6 @@ type Options struct {
 	// Workspace, if non-nil, supplies the scratch arena for per-level
 	// buffers; nil means the shared workspace.Default arena.
 	Workspace *workspace.Arena
-}
-
-// LevelStat describes one recursion level of CC.
-type LevelStat struct {
-	Level      int
-	Vertices   int   // vertices entering this level
-	EdgesIn    int64 // directed edges entering this level
-	EdgesCut   int64 // directed inter-partition edges after decomposition
-	EdgesOut   int64 // directed edges passed to the next level (post dedup)
-	Components int   // partitions produced by this level's decomposition
-	Rounds     int   // BFS rounds in this level's decomposition
 }
 
 // maxLevels is a defensive bound on recursion depth. The expected number of
@@ -333,13 +314,6 @@ func CC(g *graph.Graph, opt Options) ([]int32, error) {
 	// rejected rather than waved through into the shift computation.
 	if !(opt.Beta > 0 && opt.Beta < 1) {
 		return nil, fmt.Errorf("core: beta %v out of (0,1)", opt.Beta)
-	}
-	// Fold the legacy telemetry sinks into the event stream so the recursion
-	// consults a single Recorder. The guard keeps the fully-disabled path
-	// allocation-free (Multi builds a slice).
-	if opt.Levels != nil || opt.Phases != nil {
-		opt.Recorder = obs.Multi(opt.Recorder, LevelsRecorder(opt.Levels), decomp.PhasesRecorder(opt.Phases))
-		opt.Levels, opt.Phases = nil, nil
 	}
 	// The setup stopwatch opens before the machine is acquired so a cold
 	// pool miss (closure binding, levels array) is charged to a phase

@@ -2,9 +2,11 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"parconn/internal/decomp"
 	"parconn/internal/graph"
+	"parconn/internal/obs"
 )
 
 var variants = []decomp.Variant{decomp.Min, decomp.Arb, decomp.ArbHybrid}
@@ -136,14 +138,15 @@ func TestCCMixedDirections(t *testing.T) {
 	}
 }
 
-func TestCCLevelStats(t *testing.T) {
+func TestCCLevelEnds(t *testing.T) {
 	g := graph.Random(5000, 5, 11)
-	var levels []LevelStat
-	labels, err := CC(g, Options{Variant: decomp.ArbHybrid, Beta: 0.2, Seed: 1, Levels: &levels})
+	tr := obs.NewTrace()
+	labels, err := CC(g, Options{Variant: decomp.ArbHybrid, Beta: 0.2, Seed: 1, Recorder: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkLabels(t, g, labels)
+	levels := tr.LevelEnds()
 	if len(levels) == 0 {
 		t.Fatal("no level stats")
 	}
@@ -175,16 +178,20 @@ func TestCCLevelStats(t *testing.T) {
 	}
 }
 
-func TestCCPhaseTimes(t *testing.T) {
+func TestCCPhases(t *testing.T) {
 	g := graph.Random(4000, 5, 13)
-	var pt decomp.PhaseTimes
-	if _, err := CC(g, Options{Variant: decomp.Arb, Seed: 1, Phases: &pt}); err != nil {
+	tr := obs.NewTrace()
+	if _, err := CC(g, Options{Variant: decomp.Arb, Seed: 1, Recorder: tr}); err != nil {
 		t.Fatal(err)
 	}
-	if pt.BFSMain <= 0 {
+	sums := make(map[string]time.Duration)
+	for _, p := range tr.Phases() {
+		sums[p.Name] += p.Duration
+	}
+	if sums[obs.PhaseBFSMain] <= 0 {
 		t.Fatal("no BFS time recorded")
 	}
-	if pt.Contract <= 0 {
+	if sums[obs.PhaseContract] <= 0 {
 		t.Fatal("no contract time recorded")
 	}
 }
@@ -193,12 +200,13 @@ func TestCCDedupNoneStillShrinks(t *testing.T) {
 	// The paper: the edge count decreases by a constant factor in
 	// expectation even without duplicate removal.
 	g := graph.RMat(10, graph.RMatOptions{EdgeFactor: 20, Seed: 5, KeepDuplicates: true})
-	var levels []LevelStat
-	labels, err := CC(g, Options{Variant: decomp.Arb, Beta: 0.1, Seed: 3, Dedup: DedupNone, Levels: &levels})
+	tr := obs.NewTrace()
+	labels, err := CC(g, Options{Variant: decomp.Arb, Beta: 0.1, Seed: 3, Dedup: DedupNone, Recorder: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkLabels(t, g, labels)
+	levels := tr.LevelEnds()
 	for i := 1; i < len(levels); i++ {
 		if levels[i].EdgesIn >= levels[i-1].EdgesIn {
 			t.Fatalf("level %d: edges grew %d -> %d", i, levels[i-1].EdgesIn, levels[i].EdgesIn)
@@ -215,6 +223,40 @@ func TestCCHugeBetaManyLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkLabels(t, g, labels)
+}
+
+func TestDebugHighBeta(t *testing.T) {
+	// A short line at beta 0.9 recurses through many tiny levels; the
+	// labels must be exact and the traced levels must chain edge counts
+	// down to an empty last level.
+	g := graph.Line(50, 6)
+	tr := obs.NewTrace()
+	labels, err := CC(g, Options{Variant: decomp.Arb, Beta: 0.9, Seed: 1, Recorder: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkLabels(t, g, labels)
+	levels := tr.LevelEnds()
+	if len(levels) == 0 {
+		t.Fatal("no levels traced")
+	}
+	if levels[0].EdgesIn != g.NumDirected() {
+		t.Fatalf("level 0 EdgesIn=%d, want %d", levels[0].EdgesIn, g.NumDirected())
+	}
+	for i, ls := range levels {
+		if ls.Level != i {
+			t.Fatalf("level %d recorded as %d", i, ls.Level)
+		}
+		if ls.EdgesOut > ls.EdgesCut || ls.EdgesCut > ls.EdgesIn {
+			t.Fatalf("level %d: in %d, cut %d, out %d", i, ls.EdgesIn, ls.EdgesCut, ls.EdgesOut)
+		}
+		if i > 0 && ls.EdgesIn != levels[i-1].EdgesOut {
+			t.Fatalf("level %d EdgesIn=%d, prior EdgesOut=%d", i, ls.EdgesIn, levels[i-1].EdgesOut)
+		}
+	}
+	if last := levels[len(levels)-1]; last.EdgesOut != 0 {
+		t.Fatalf("last level still has edges: %+v", last)
+	}
 }
 
 func TestCCSingletonMix(t *testing.T) {

@@ -3,8 +3,10 @@ package decomp
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"parconn/internal/graph"
+	"parconn/internal/obs"
 	"parconn/internal/parallel"
 )
 
@@ -21,8 +23,8 @@ func BenchmarkSparseClaim(b *testing.B) {
 				pool := parallel.NewPool(procs)
 				defer pool.Close()
 				w := NewWGraph(g, procs)
-				var pt PhaseTimes
-				opt := Options{Procs: procs, Seed: 7, Pool: pool, Scratch: &Scratch{}, Phases: &pt}
+				tr := obs.NewTrace()
+				opt := Options{Procs: procs, Seed: 7, Pool: pool, Scratch: &Scratch{}, Recorder: tr}
 				var claimed int64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -35,8 +37,13 @@ func BenchmarkSparseClaim(b *testing.B) {
 					}
 					claimed += int64(g.N - res.NumCenters)
 				}
-				// Only the variant's own claim phase is non-zero.
-				claim := pt.BFSSparse + pt.BFSMain
+				// Only the variant's own claim phase is recorded.
+				var claim time.Duration
+				for _, p := range tr.Phases() {
+					if p.Name == obs.PhaseBFSSparse || p.Name == obs.PhaseBFSMain {
+						claim += p.Duration
+					}
+				}
 				b.ReportMetric(float64(claim.Nanoseconds())/float64(claimed), "ns/claim")
 			})
 		}

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
-	"time"
 
 	"parconn/internal/obs"
 	"parconn/internal/parallel"
@@ -91,13 +90,6 @@ type Options struct {
 	// final configuration, without leaving star-like graphs serialized on
 	// one hub. Currently honored by the Arb variant.
 	EdgeParallel int
-	// Phases, if non-nil, accumulates wall-clock time per phase. It is a
-	// compatibility view over the Recorder event stream: Decompose folds it
-	// into Recorder via PhasesRecorder.
-	Phases *PhaseTimes
-	// Rounds, if non-nil, receives one entry per BFS round. Like Phases, it
-	// is folded into Recorder via RoundsRecorder.
-	Rounds *[]RoundStat
 	// Recorder, if non-nil, receives the structured event stream (one Round
 	// event per BFS round, per-phase durations, CAS retry counts); see
 	// internal/obs. Recorder methods are invoked only by the coordinating
@@ -175,35 +167,6 @@ func (o Options) validate() error {
 	return nil
 }
 
-// PhaseTimes records where the wall-clock time of a connectivity run goes,
-// matching the paper's Figures 5-7 breakdowns. Durations accumulate across
-// recursion levels.
-type PhaseTimes struct {
-	Init        time.Duration // permutations, shift values, array init
-	BFSPre      time.Duration // adding new centers to the frontier
-	BFSPhase1   time.Duration // Decomp-Min first pass (writeMin marking)
-	BFSPhase2   time.Duration // Decomp-Min second pass (CAS claiming)
-	BFSMain     time.Duration // Decomp-Arb single pass
-	BFSSparse   time.Duration // ArbHybrid write-based rounds
-	BFSDense    time.Duration // ArbHybrid read-based rounds
-	FilterEdges time.Duration // ArbHybrid post-pass classifying edges
-	Contract    time.Duration // contraction + relabeling (filled by core)
-}
-
-// Total returns the sum of all recorded phases.
-func (p *PhaseTimes) Total() time.Duration {
-	return p.Init + p.BFSPre + p.BFSPhase1 + p.BFSPhase2 + p.BFSMain +
-		p.BFSSparse + p.BFSDense + p.FilterEdges + p.Contract
-}
-
-// RoundStat describes one BFS round of one decomposition call.
-type RoundStat struct {
-	Round      int
-	Frontier   int  // frontier size (centers + BFS arrivals)
-	NewCenters int  // centers started this round
-	Dense      bool // ArbHybrid used the read-based pass
-}
-
 // Result of a decomposition.
 type Result struct {
 	// Labels[v] is the id of the center whose ball captured v; vertices
@@ -236,13 +199,6 @@ func Decompose(g *WGraph, variant Variant, opt Options) (Result, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return Result{}, err
-	}
-	// Fold the legacy telemetry sinks into the event stream so the machines
-	// consult a single Recorder. The guard keeps the fully-disabled path
-	// allocation-free (Multi builds a slice).
-	if opt.Phases != nil || opt.Rounds != nil {
-		opt.Recorder = obs.Multi(opt.Recorder, PhasesRecorder(opt.Phases), RoundsRecorder(opt.Rounds))
-		opt.Phases, opt.Rounds = nil, nil
 	}
 	sc := opt.Scratch
 	if sc == nil {

@@ -2,8 +2,10 @@ package decomp
 
 import (
 	"testing"
+	"time"
 
 	"parconn/internal/graph"
+	"parconn/internal/obs"
 	"parconn/internal/parallel"
 	"parconn/internal/workspace"
 )
@@ -29,7 +31,7 @@ func testGraphs() map[string]*graph.Graph {
 // every vertex is labeled with a center id, partitions are internally
 // connected with radius bounded by the round count, and the working graph
 // retains exactly the inter-partition edges, relabeled to component ids.
-func checkDecomposition(t *testing.T, g0 *graph.Graph, w *WGraph, res Result, rounds []RoundStat) {
+func checkDecomposition(t *testing.T, g0 *graph.Graph, w *WGraph, res Result, rounds []obs.Round) {
 	t.Helper()
 	n := g0.N
 	labels := res.Labels
@@ -136,13 +138,13 @@ func TestDecomposeAllVariantsAllGraphs(t *testing.T) {
 	for name, g := range testGraphs() {
 		for _, variant := range variants {
 			for _, beta := range []float64{0.05, 0.2, 0.5} {
-				var rounds []RoundStat
+				tr := obs.NewTrace()
 				w := NewWGraph(g, 0)
-				res, err := Decompose(w, variant, Options{Beta: beta, Seed: 42, Rounds: &rounds})
+				res, err := Decompose(w, variant, Options{Beta: beta, Seed: 42, Recorder: tr})
 				if err != nil {
 					t.Fatalf("%s/%v/beta=%v: %v", name, variant, beta, err)
 				}
-				checkDecomposition(t, g, w, res, rounds)
+				checkDecomposition(t, g, w, res, tr.Rounds())
 			}
 		}
 	}
@@ -261,14 +263,14 @@ func TestHybridDenseAndSparseRoundsBothOccur(t *testing.T) {
 	// A dense random graph's frontier explodes: the hybrid must take dense
 	// rounds there. A line's frontier never exceeds a few vertices: all
 	// rounds must stay sparse.
-	var rounds []RoundStat
+	tr := obs.NewTrace()
 	g := graph.Random(5000, 5, 3)
 	w := NewWGraph(g, 0)
-	if _, err := Decompose(w, ArbHybrid, Options{Beta: 0.1, Seed: 1, Rounds: &rounds}); err != nil {
+	if _, err := Decompose(w, ArbHybrid, Options{Beta: 0.1, Seed: 1, Recorder: tr}); err != nil {
 		t.Fatal(err)
 	}
 	anyDense := false
-	for _, r := range rounds {
+	for _, r := range tr.Rounds() {
 		if r.Dense {
 			anyDense = true
 		}
@@ -277,13 +279,13 @@ func TestHybridDenseAndSparseRoundsBothOccur(t *testing.T) {
 		t.Fatal("no dense rounds on a dense random graph")
 	}
 
-	rounds = rounds[:0]
+	tr.Reset()
 	gl := graph.Line(5000, 4)
 	wl := NewWGraph(gl, 0)
-	if _, err := Decompose(wl, ArbHybrid, Options{Beta: 0.1, Seed: 1, Rounds: &rounds}); err != nil {
+	if _, err := Decompose(wl, ArbHybrid, Options{Beta: 0.1, Seed: 1, Recorder: tr}); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rounds {
+	for _, r := range tr.Rounds() {
 		if r.Dense {
 			t.Fatal("dense round on a line graph")
 		}
@@ -473,29 +475,35 @@ func TestWGraphLiveEdges(t *testing.T) {
 	}
 }
 
-func TestPhaseTimesRecorded(t *testing.T) {
+func TestPhasesRecorded(t *testing.T) {
 	g := graph.Random(3000, 5, 1)
 	for _, variant := range variants {
-		var pt PhaseTimes
+		tr := obs.NewTrace()
 		w := NewWGraph(g, 0)
-		if _, err := Decompose(w, variant, Options{Beta: 0.2, Seed: 1, Phases: &pt}); err != nil {
+		if _, err := Decompose(w, variant, Options{Beta: 0.2, Seed: 1, Recorder: tr}); err != nil {
 			t.Fatal(err)
 		}
-		if pt.Total() <= 0 {
+		pt := make(map[string]time.Duration)
+		var total time.Duration
+		for _, p := range tr.Phases() {
+			pt[p.Name] += p.Duration
+			total += p.Duration
+		}
+		if total <= 0 {
 			t.Fatalf("%v: no phase time recorded", variant)
 		}
 		switch variant {
 		case Min:
-			if pt.BFSPhase1 <= 0 || pt.BFSPhase2 <= 0 || pt.BFSMain != 0 {
-				t.Fatalf("%v: wrong phases populated: %+v", variant, pt)
+			if pt[obs.PhaseBFSPhase1] <= 0 || pt[obs.PhaseBFSPhase2] <= 0 || pt[obs.PhaseBFSMain] != 0 {
+				t.Fatalf("%v: wrong phases populated: %v", variant, pt)
 			}
 		case Arb:
-			if pt.BFSMain <= 0 || pt.BFSPhase1 != 0 || pt.FilterEdges != 0 {
-				t.Fatalf("%v: wrong phases populated: %+v", variant, pt)
+			if pt[obs.PhaseBFSMain] <= 0 || pt[obs.PhaseBFSPhase1] != 0 || pt[obs.PhaseFilterEdges] != 0 {
+				t.Fatalf("%v: wrong phases populated: %v", variant, pt)
 			}
 		case ArbHybrid:
-			if pt.FilterEdges <= 0 || pt.BFSMain != 0 {
-				t.Fatalf("%v: wrong phases populated: %+v", variant, pt)
+			if pt[obs.PhaseFilterEdges] <= 0 || pt[obs.PhaseBFSMain] != 0 {
+				t.Fatalf("%v: wrong phases populated: %v", variant, pt)
 			}
 		}
 	}

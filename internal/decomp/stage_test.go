@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"parconn/internal/graph"
+	"parconn/internal/obs"
 	"parconn/internal/parallel"
 	"parconn/internal/prand"
 )
@@ -156,14 +157,15 @@ func TestHybridSparseDenseSparse(t *testing.T) {
 			t.Run(fmt.Sprintf("densefrac=%g/procs=%d", frac, procs), func(t *testing.T) {
 				pool := parallel.NewPool(procs)
 				defer pool.Close()
-				var rounds []RoundStat
+				tr := obs.NewTrace()
 				w := NewWGraph(g, procs)
 				res, err := Decompose(w, ArbHybrid, Options{
-					Procs: procs, Seed: 11, DenseFrac: frac, Pool: pool, Rounds: &rounds,
+					Procs: procs, Seed: 11, DenseFrac: frac, Pool: pool, Recorder: tr,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
+				rounds := tr.Rounds()
 				checkDecomposition(t, g, w, res, rounds)
 				// Look for sparse, then dense, then sparse again.
 				step := 0

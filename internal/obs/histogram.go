@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -131,7 +129,7 @@ type HistogramBucket struct {
 }
 
 // HistogramSnapshot is a point-in-time copy of a Histogram, carrying only
-// the non-empty buckets. It is the JSON shape served by /debug/parconn.
+// the non-empty buckets.
 type HistogramSnapshot struct {
 	Count   int64             `json:"count"`
 	Sum     int64             `json:"sum"`
@@ -213,112 +211,6 @@ func (s HistogramSnapshot) Quantile(q float64) int64 {
 		return min(max(v, s.Min), s.Max)
 	}
 	return s.Max
-}
-
-// phaseKey identifies one per-level phase histogram.
-type phaseKey struct {
-	level int
-	name  string
-}
-
-// HistogramSet is a Recorder aggregating the event stream into histograms:
-// one per (level, phase name) over phase durations, one over per-round
-// frontier sizes, and one over per-round durations. The record path is
-// allocation-free in the steady state (a histogram allocates once when its
-// (level, phase) key first appears); sinks shared by concurrent runs are
-// safe, per the Recorder contract.
-type HistogramSet struct {
-	Nop
-
-	mu     sync.RWMutex
-	phases map[phaseKey]*Histogram
-
-	frontier Histogram // Round.Frontier samples
-	roundNS  Histogram // Round.Duration samples, nanoseconds
-}
-
-// NewHistogramSet returns an empty set.
-func NewHistogramSet() *HistogramSet {
-	return &HistogramSet{phases: make(map[phaseKey]*Histogram)}
-}
-
-// phaseHist returns the histogram for (level, name), creating it on first
-// use. Steady-state lookups take only the read lock and do not allocate.
-func (s *HistogramSet) phaseHist(level int, name string) *Histogram {
-	k := phaseKey{level: level, name: name}
-	s.mu.RLock()
-	h := s.phases[k]
-	s.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	s.mu.Lock()
-	if h = s.phases[k]; h == nil {
-		h = &Histogram{}
-		s.phases[k] = h
-	}
-	s.mu.Unlock()
-	return h
-}
-
-// Phase records the duration into the (level, name) histogram.
-func (s *HistogramSet) Phase(e Phase) {
-	s.phaseHist(e.Level, e.Name).Record(int64(e.Duration))
-}
-
-// Round records the frontier size and round duration.
-func (s *HistogramSet) Round(e Round) {
-	s.frontier.Record(int64(e.Frontier))
-	s.roundNS.Record(int64(e.Duration))
-}
-
-// Frontier exposes the frontier-size histogram (samples are vertex counts).
-func (s *HistogramSet) Frontier() *Histogram { return &s.frontier }
-
-// RoundNS exposes the per-round duration histogram (nanoseconds).
-func (s *HistogramSet) RoundNS() *Histogram { return &s.roundNS }
-
-// PhaseHistogram is one (level, phase) histogram in a snapshot.
-type PhaseHistogram struct {
-	Level int               `json:"level"`
-	Name  string            `json:"name"`
-	Hist  HistogramSnapshot `json:"hist"`
-}
-
-// HistogramSetSnapshot is the JSON shape of a HistogramSet.
-type HistogramSetSnapshot struct {
-	Phases   []PhaseHistogram  `json:"phases,omitempty"`
-	Frontier HistogramSnapshot `json:"frontier"`
-	RoundNS  HistogramSnapshot `json:"round_ns"`
-}
-
-// Snapshot copies every histogram, phases sorted by (level, name).
-func (s *HistogramSet) Snapshot() HistogramSetSnapshot {
-	s.mu.RLock()
-	keys := make([]phaseKey, 0, len(s.phases))
-	for k := range s.phases {
-		keys = append(keys, k)
-	}
-	s.mu.RUnlock()
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].level != keys[j].level {
-			return keys[i].level < keys[j].level
-		}
-		return keys[i].name < keys[j].name
-	})
-	out := HistogramSetSnapshot{
-		Frontier: s.frontier.Snapshot(),
-		RoundNS:  s.roundNS.Snapshot(),
-	}
-	for _, k := range keys {
-		s.mu.RLock()
-		h := s.phases[k]
-		s.mu.RUnlock()
-		out.Phases = append(out.Phases, PhaseHistogram{
-			Level: k.level, Name: k.name, Hist: h.Snapshot(),
-		})
-	}
-	return out
 }
 
 // String summarizes the histogram for debug output.

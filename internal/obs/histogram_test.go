@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestHistogramBuckets(t *testing.T) {
@@ -129,40 +128,6 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 	}
 	if total != s.Count {
 		t.Fatalf("bucket total %d != count %d", total, s.Count)
-	}
-}
-
-func TestHistogramSet(t *testing.T) {
-	hs := NewHistogramSet()
-	emitAll(hs)
-	snap := hs.Snapshot()
-	// emitAll produces phases init, bfs_main, contract — all level 0.
-	want := map[string]int64{PhaseInit: 1, PhaseBFSMain: 1, PhaseContract: 1}
-	if len(snap.Phases) != len(want) {
-		t.Fatalf("phases %+v want %v", snap.Phases, want)
-	}
-	for _, ph := range snap.Phases {
-		if ph.Level != 0 {
-			t.Errorf("phase %s at level %d want 0", ph.Name, ph.Level)
-		}
-		if ph.Hist.Count != want[ph.Name] {
-			t.Errorf("phase %s count %d want %d", ph.Name, ph.Hist.Count, want[ph.Name])
-		}
-	}
-	if snap.Frontier.Count != 1 || snap.Frontier.Max != 2 {
-		t.Fatalf("frontier %+v", snap.Frontier)
-	}
-	if snap.RoundNS.Count != 1 || snap.RoundNS.Sum != int64(time.Microsecond) {
-		t.Fatalf("round_ns %+v", snap.RoundNS)
-	}
-
-	// A second identical run doubles the counts in place.
-	emitAll(hs)
-	if got := hs.Snapshot().Phases[0].Hist.Count; got != 2 {
-		t.Fatalf("second run: phase count %d want 2", got)
-	}
-	if _, err := json.Marshal(hs.Snapshot()); err != nil {
-		t.Fatal(err)
 	}
 }
 

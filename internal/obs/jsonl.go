@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -223,12 +224,6 @@ type Summary struct {
 func Validate(events []Event) (Summary, error) {
 	var s Summary
 	s.Events = len(events)
-	knownPhases := map[string]bool{
-		PhaseSetup: true, PhaseInit: true, PhaseBFSPre: true,
-		PhaseBFSPhase1: true, PhaseBFSPhase2: true, PhaseBFSMain: true,
-		PhaseBFSSparse: true, PhaseBFSDense: true, PhaseFilterEdges: true,
-		PhaseContract: true, PhaseMeasure: true,
-	}
 	inRun := false
 	openLevel := -1 // level number of the unmatched LevelStart, -1 when none
 	prevEdgesIn := int64(-1)
@@ -300,7 +295,7 @@ func Validate(events []Event) (Summary, error) {
 			}
 			s.Rounds++
 		case Phase:
-			if !knownPhases[e.Name] {
+			if !slices.Contains(PhaseNames, e.Name) {
 				return s, fmt.Errorf("event %d: unknown phase %q", i, e.Name)
 			}
 			if e.Duration < 0 {
@@ -308,9 +303,7 @@ func Validate(events []Event) (Summary, error) {
 			}
 			s.Phases++
 		case Counter:
-			switch e.Name {
-			case CounterArenaReused, CounterArenaAlloc, CounterPoolJoins:
-			default:
+			if !slices.Contains(CounterNames, e.Name) {
 				return s, fmt.Errorf("event %d: unknown counter %q", i, e.Name)
 			}
 			if e.Value < 0 {

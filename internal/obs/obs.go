@@ -1,11 +1,13 @@
 // Package obs is the structured observability layer of the connectivity
 // engine: a Recorder interface receiving per-run, per-level, per-round, and
-// per-phase events from the decomposition recursion, plus three concrete
-// sinks (an in-memory Trace, a JSON-lines writer, and an expvar counter
-// set). The paper's whole evaluation (§5, Figures 3-7) is built on exactly
-// these measurements — frontier sizes, cut fractions, phase breakdowns,
-// geometric edge decay across contraction levels — so the event stream is
-// both the bench harness's data source and the production debugging surface.
+// per-phase events from the decomposition recursion, plus the sinks that
+// consume it in-process: an in-memory Trace, a JSON-lines writer, live
+// Progress and a FlightRecorder ring. The cumulative /metrics series are a
+// Recorder in internal/obs/metrics. The paper's whole evaluation (§5,
+// Figures 3-7) is built on exactly these measurements — frontier sizes, cut
+// fractions, phase breakdowns, geometric edge decay across contraction
+// levels — so the event stream is both the bench harness's data source and
+// the production debugging surface.
 //
 // Contract. A nil Recorder means "disabled" and every instrumentation site
 // guards with one pointer comparison, so observability costs nothing when
@@ -19,9 +21,7 @@
 // the provided sinks lock anyway so distinct concurrent runs may share one.
 //
 // The package is zero-dependency (stdlib only) and deliberately knows
-// nothing about graphs: events carry plain counts and durations, and the
-// compatibility bridges to the legacy PhaseTimes/LevelStat/RoundStat types
-// live next to those types in internal/decomp and internal/core.
+// nothing about graphs: events carry plain counts and durations.
 package obs
 
 import "time"
@@ -64,7 +64,7 @@ const (
 )
 
 // Phase names emitted by the engine, matching the paper's Figures 5-7
-// breakdown categories (see decomp.PhaseTimes for the legacy accumulator).
+// breakdown categories.
 const (
 	PhaseSetup       = "setup"        // working-graph copy before level 0
 	PhaseInit        = "init"         // permutations, shifts, array init
@@ -85,6 +85,18 @@ const (
 	CounterArenaAlloc  = "arena_alloc_bytes"  // scratch bytes freshly allocated
 	CounterPoolJoins   = "pool_worker_joins"  // pool helpers that joined parallel sections
 )
+
+// PhaseNames lists every phase the engine emits. Validate accepts exactly
+// these, and the metrics recorder registers one series per entry, so a
+// phase a trace may carry is never missing from /metrics.
+var PhaseNames = []string{
+	PhaseSetup, PhaseInit, PhaseBFSPre, PhaseBFSPhase1, PhaseBFSPhase2, PhaseBFSMain,
+	PhaseBFSSparse, PhaseBFSDense, PhaseFilterEdges, PhaseContract, PhaseMeasure,
+}
+
+// CounterNames lists every counter the engine emits, with the same role as
+// PhaseNames.
+var CounterNames = []string{CounterArenaReused, CounterArenaAlloc, CounterPoolJoins}
 
 // RunStart describes a connectivity run about to execute.
 type RunStart struct {
@@ -163,8 +175,6 @@ func (Nop) Counter(Counter)       {}
 // returns nil when all are nil and the single recorder when only one is
 // non-nil, preserving the nil fast path and avoiding indirection for the
 // common single-sink case.
-//
-//parconn:allow hotalloc recorder fan-out is built once per run setup, and only when observability is enabled
 func Multi(recs ...Recorder) Recorder {
 	live := make(multi, 0, len(recs))
 	for _, r := range recs {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"expvar"
 	"strings"
 	"sync"
 	"testing"
@@ -281,50 +280,6 @@ func TestShardedInt64(t *testing.T) {
 	}
 }
 
-// TestExpvarSinkConcurrentRuns drives two concurrent runs through one
-// shared sink — the documented sharing contract — and checks the cumulative
-// counters sum both runs exactly (the race detector guards the rest).
-func TestExpvarSinkConcurrentRuns(t *testing.T) {
-	s := NewExpvar("obsconc_")
-	const runsPerWorker = 25
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < runsPerWorker; i++ {
-				emitAll(s)
-			}
-		}()
-	}
-	wg.Wait()
-	get := func(name string) int64 {
-		v, ok := expvar.Get("obsconc_" + name).(*expvar.Int)
-		if !ok {
-			t.Fatalf("variable %s not published", name)
-		}
-		return v.Value()
-	}
-	// emitAll: 1 run, 2 levels, 1 round, 3 phases with 4us total, 1 CAS retry.
-	if got := get("runs"); got != 2*runsPerWorker {
-		t.Fatalf("runs %d want %d", got, 2*runsPerWorker)
-	}
-	if got := get("levels"); got != 2*runsPerWorker*2 {
-		t.Fatalf("levels %d want %d", got, 2*runsPerWorker*2)
-	}
-	if got := get("rounds"); got != 2*runsPerWorker {
-		t.Fatalf("rounds %d want %d", got, 2*runsPerWorker)
-	}
-	if got := get("cas_retries"); got != 2*runsPerWorker {
-		t.Fatalf("cas_retries %d want %d", got, 2*runsPerWorker)
-	}
-	wantPhaseNS := int64(2*runsPerWorker) * int64(4*time.Microsecond)
-	phaseNS := get("phase_ns_init") + get("phase_ns_bfs_main") + get("phase_ns_contract")
-	if phaseNS != wantPhaseNS {
-		t.Fatalf("phase ns %d want %d", phaseNS, wantPhaseNS)
-	}
-}
-
 // TestShardedInt64SharedBetweenRuns mirrors the engine pattern of two
 // concurrent coordinators flushing worker counts through one accumulator.
 func TestShardedInt64SharedBetweenRuns(t *testing.T) {
@@ -351,35 +306,5 @@ func TestShardedInt64SharedBetweenRuns(t *testing.T) {
 	wg.Wait()
 	if got := s.Sum(); got != 2*4*perRun {
 		t.Fatalf("Sum %d want %d", got, 2*4*perRun)
-	}
-}
-
-func TestExpvarSink(t *testing.T) {
-	s := NewExpvar("obstest_")
-	emitAll(s)
-	// Reconstruction with the same prefix must reuse registrations, not panic.
-	s2 := NewExpvar("obstest_")
-	emitAll(s2)
-	get := func(name string) int64 {
-		v, ok := expvar.Get("obstest_" + name).(*expvar.Int)
-		if !ok {
-			t.Fatalf("variable %s not published", name)
-		}
-		return v.Value()
-	}
-	if got := get("runs"); got != 2 {
-		t.Fatalf("runs %d want 2", got)
-	}
-	if got := get("levels"); got != 4 {
-		t.Fatalf("levels %d want 4", got)
-	}
-	if got := get("components"); got != 3 {
-		t.Fatalf("components %d want 3", got)
-	}
-	if got := get("pool_worker_joins"); got != 6 {
-		t.Fatalf("pool_worker_joins %d want 6", got)
-	}
-	if get("phase_ns_contract") <= 0 {
-		t.Fatal("phase_ns_contract not accumulated")
 	}
 }

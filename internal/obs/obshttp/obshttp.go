@@ -1,7 +1,7 @@
 // Package obshttp is the live read side of the observability layer: a
-// debug HTTP server exposing the engine's current position, phase
-// histograms, and flight-recorder tail while a run executes, alongside the
-// stdlib's pprof and expvar endpoints. Attach a State's Recorder to a run
+// debug HTTP server exposing the engine's cumulative metrics, its current
+// position and flight-recorder tail while a run executes, alongside the
+// stdlib's pprof endpoints. Attach a State's Recorder to a run
 // (Options.Recorder) and mount its Handler:
 //
 //	state := obshttp.NewState("cmd/connect", 0)
@@ -12,10 +12,11 @@
 // Endpoints:
 //
 //	/metrics        Prometheus text exposition of the State's metrics
-//	                registry (runtime series plus whatever the command adds)
-//	/debug/parconn  JSON snapshot: progress, per-(level, phase) histograms,
-//	                frontier/round histograms, recent events (flight tail)
-//	/debug/vars     expvar counters (cumulative across runs, parconn_* keys)
+//	                registry: engine series (runs, levels, rounds, per-phase
+//	                seconds, counters; see metrics.EngineRecorder), runtime
+//	                series, and whatever the command adds
+//	/debug/parconn  JSON snapshot: tool, environment, progress, and recent
+//	                events (flight tail)
 //	/debug/pprof/   CPU/heap/goroutine profiles; decomposition levels run
 //	                under parconn_level/parconn_phase pprof labels
 //
@@ -26,7 +27,6 @@ package obshttp
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -37,15 +37,15 @@ import (
 )
 
 // State bundles the read-side sinks one process exposes: live progress,
-// histograms, the flight-recorder tail, cumulative expvar counters, and the
-// Prometheus-text metrics registry served at /metrics. One State serves any
-// number of sequential or concurrent runs.
+// the flight-recorder tail, and the Prometheus-text metrics registry served
+// at /metrics. One State serves any number of sequential or concurrent
+// runs.
 type State struct {
 	Progress *obs.Progress
-	Hists    *obs.HistogramSet
 	Flight   *obs.FlightRecorder
-	// Metrics is the process metrics registry, pre-seeded with runtime
-	// series (goroutines, heap, GC) and exposed at /metrics on Handler's
+	// Metrics is the process metrics registry, pre-seeded with the engine
+	// series fed by Recorder and with runtime series (goroutines, heap, GC),
+	// and exposed at /metrics on Handler's
 	// mux. Embedding commands register their own series in it (e.g.
 	// serve.NewObserver for the request plane).
 	Metrics *metrics.Registry
@@ -60,14 +60,13 @@ type State struct {
 func NewState(tool string, flightCap int) *State {
 	s := &State{
 		Progress: obs.NewProgress(),
-		Hists:    obs.NewHistogramSet(),
 		Flight:   obs.NewFlightRecorder(flightCap),
 		Metrics:  metrics.New(),
 		tool:     tool,
 		env:      obs.CaptureEnv(),
 	}
 	metrics.RegisterRuntime(s.Metrics)
-	s.rec = obs.Multi(s.Progress, s.Hists, s.Flight, obs.NewExpvar(""))
+	s.rec = obs.Multi(s.Progress, s.Flight, metrics.NewEngineRecorder(s.Metrics))
 	return s
 }
 
@@ -77,11 +76,10 @@ func (s *State) Recorder() obs.Recorder { return s.rec }
 
 // Snapshot is the JSON document served at /debug/parconn.
 type Snapshot struct {
-	Tool     string                   `json:"tool,omitempty"`
-	Env      obs.Env                  `json:"env"`
-	Progress obs.ProgressSnapshot     `json:"progress"`
-	Hist     obs.HistogramSetSnapshot `json:"histograms"`
-	Flight   FlightSnapshot           `json:"flight"`
+	Tool     string               `json:"tool,omitempty"`
+	Env      obs.Env              `json:"env"`
+	Progress obs.ProgressSnapshot `json:"progress"`
+	Flight   FlightSnapshot       `json:"flight"`
 }
 
 // FlightSnapshot is the flight-recorder tail in JSONL event encoding.
@@ -108,7 +106,6 @@ func (s *State) Snapshot() (Snapshot, error) {
 		Tool:     s.tool,
 		Env:      s.env,
 		Progress: s.Progress.Snapshot(),
-		Hist:     s.Hists.Snapshot(),
 		Flight:   fs,
 	}, nil
 }
@@ -129,13 +126,11 @@ func (s *State) serveSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Write(append(data, '\n'))
 }
 
-// Handler returns the debug mux: /metrics, /debug/parconn, /debug/vars,
-// /debug/pprof.
+// Handler returns the debug mux: /metrics, /debug/parconn, /debug/pprof.
 func (s *State) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", s.Metrics.Handler())
 	mux.HandleFunc("/debug/parconn", s.serveSnapshot)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -147,7 +142,7 @@ func (s *State) Handler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte("parconn debug server\n\n/metrics\n/debug/parconn\n/debug/vars\n/debug/pprof/\n"))
+		w.Write([]byte("parconn debug server\n\n/metrics\n/debug/parconn\n/debug/pprof/\n"))
 	})
 	return mux
 }

@@ -126,9 +126,13 @@ type ProgressSnapshot struct {
 // Snapshot reads the current position. Safe to call at any time from any
 // goroutine; never blocks the coordinator.
 func (p *Progress) Snapshot() ProgressSnapshot {
+	// Done is read before started: both only grow and started >= done at
+	// every instant, so this order keeps RunsDone <= RunsStarted even when
+	// runs finish between the two loads.
+	done := p.runsDone.Load()
 	s := ProgressSnapshot{
 		RunsStarted: p.runsStarted.Load(),
-		RunsDone:    p.runsDone.Load(),
+		RunsDone:    done,
 		Errors:      p.errors.Load(),
 		Vertices:    p.vertices.Load(),
 		Edges:       p.edges.Load(),

@@ -13,9 +13,8 @@ type Event struct {
 }
 
 // Trace is an in-memory Recorder that stores every event in arrival order.
-// It subsumes the legacy PhaseTimes/LevelStat/RoundStat accumulators: the
-// compatibility constructors in internal/decomp and internal/core rebuild
-// those views from a Trace's event slice.
+// Its kind filters (LevelEnds, Rounds, Phases, Counters) are the read side
+// of the bench harness's per-level and per-phase tables.
 type Trace struct {
 	mu     sync.Mutex
 	events []Event

@@ -75,8 +75,10 @@ type Observer struct {
 	seq         atomic.Uint64 // request arrivals; drives sampling + trace IDs
 	traceSeed   uint64
 
+	reg      *metrics.Registry
 	requests map[string]*metrics.Counter            // endpoint -> arrivals
 	errors   map[string]map[string]*metrics.Counter // endpoint -> class -> count
+	latency  map[string]*obs.Histogram              // endpoint -> latency since start, ns
 	rolling  map[string]*metrics.RollingHistogram   // endpoint -> rolling latency
 	sampled  *metrics.Counter
 	inflight *metrics.Gauge
@@ -88,6 +90,8 @@ type Observer struct {
 //
 //	parconn_http_requests_total{endpoint}            arrivals
 //	parconn_http_errors_total{endpoint,class}        non-2xx answers by taxonomy
+//	parconn_http_request_duration_seconds{endpoint}  latency histogram since
+//	                                                 process start
 //	parconn_http_inflight_requests                   currently executing
 //	parconn_http_spans_sampled_total                 spans emitted
 //	parconn_http_rolling_latency_seconds{endpoint,quantile}  P50/P95/P99
@@ -98,8 +102,10 @@ func NewObserver(cfg ObserverConfig) *Observer {
 	}
 	o := &Observer{
 		spans:    cfg.Spans,
+		reg:      cfg.Metrics,
 		requests: make(map[string]*metrics.Counter, len(observedEndpoints)),
 		errors:   make(map[string]map[string]*metrics.Counter, len(observedEndpoints)),
+		latency:  make(map[string]*obs.Histogram, len(observedEndpoints)),
 		rolling:  make(map[string]*metrics.RollingHistogram, len(observedEndpoints)),
 	}
 	if cfg.Spans != nil && cfg.SampleEvery > 0 {
@@ -116,6 +122,10 @@ func NewObserver(cfg ObserverConfig) *Observer {
 				metrics.L("endpoint", ep, "class", class))
 		}
 		o.errors[ep] = byClass
+		h := &obs.Histogram{}
+		o.latency[ep] = h
+		cfg.Metrics.HistogramNS("parconn_http_request_duration_seconds",
+			"Request latency since process start.", metrics.L("endpoint", ep), h)
 		rh := metrics.NewRollingHistogram(cfg.RollingWindow, cfg.RollingWindows)
 		o.rolling[ep] = rh
 		cfg.Metrics.RollingQuantilesNS("parconn_http_rolling_latency_seconds",
@@ -129,21 +139,17 @@ func NewObserver(cfg ObserverConfig) *Observer {
 	return o
 }
 
-// bind registers the server-state series that need the Server itself: the
-// cumulative latency histograms (the same wait-free histograms /v1/stats
-// summarizes) and readiness/epoch gauges. Called once from New.
-func (o *Observer) bind(s *Server, reg *metrics.Registry) {
-	for _, ep := range observedEndpoints {
-		reg.HistogramNS("parconn_http_request_duration_seconds",
-			"Request latency since process start.", metrics.L("endpoint", ep), s.lat[ep])
-	}
-	reg.GaugeFunc("parconn_ready", "1 once a labeling is published.", nil, func() float64 {
+// bind registers the server-state series that need the Server itself, the
+// readiness and epoch gauges, in the Observer's registry. Called once from
+// New.
+func (o *Observer) bind(s *Server) {
+	o.reg.GaugeFunc("parconn_ready", "1 once a labeling is published.", nil, func() float64 {
 		if s.Ready() {
 			return 1
 		}
 		return 0
 	})
-	reg.GaugeFunc("parconn_published_epoch",
+	o.reg.GaugeFunc("parconn_published_epoch",
 		"Incremental generation of the published labeling (0 = initial).", nil, func() float64 {
 			p := s.pub.Load()
 			if p == nil {
@@ -241,7 +247,7 @@ func (o *Observer) traceID(r *http.Request, seq uint64) string {
 // ID, runs the handler with a status-capturing writer, then records
 // latency (cumulative + rolling), taxonomy errors, and — for head-sampled
 // requests — a span through the obs sink.
-func (o *Observer) observe(endpoint string, hist *obs.Histogram, h http.HandlerFunc, w http.ResponseWriter, r *http.Request) {
+func (o *Observer) observe(endpoint string, h http.HandlerFunc, w http.ResponseWriter, r *http.Request) {
 	seq := o.seq.Add(1)
 	o.requests[endpoint].Inc()
 	o.inflight.Add(1)
@@ -261,7 +267,7 @@ func (o *Observer) observe(endpoint string, hist *obs.Histogram, h http.HandlerF
 	h(sw, r)
 	dur := time.Since(start)
 
-	hist.Record(dur.Nanoseconds())
+	o.latency[endpoint].Record(dur.Nanoseconds())
 	o.rolling[endpoint].Record(dur.Nanoseconds())
 	status := sw.status
 	if status == 0 {

@@ -21,7 +21,7 @@ func newObservedServer(t *testing.T, sampleEvery int) (*Server, *Observer, *metr
 	reg := metrics.New()
 	fr := obs.NewFlightRecorder(256)
 	o := NewObserver(ObserverConfig{Metrics: reg, Spans: fr, SampleEvery: sampleEvery})
-	s := New(Config{MaxBatch: 8, TopK: 2, Observer: o, Metrics: reg})
+	s := New(Config{MaxBatch: 8, TopK: 2, Observer: o})
 	s.Publish(testLabeling())
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -135,7 +135,7 @@ func TestObserverErrorTaxonomy(t *testing.T) {
 func TestObserverNotReadyClass(t *testing.T) {
 	reg := metrics.New()
 	o := NewObserver(ObserverConfig{Metrics: reg})
-	s := New(Config{Observer: o, Metrics: reg}) // never published
+	s := New(Config{Observer: o}) // never published
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -374,12 +374,10 @@ func TestObserverConcurrentRequests(t *testing.T) {
 func TestObserverRequiresMetrics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Config.Observer without Config.Metrics did not panic")
+			t.Fatal("NewObserver without ObserverConfig.Metrics did not panic")
 		}
 	}()
-	reg := metrics.New()
-	o := NewObserver(ObserverConfig{Metrics: reg})
-	New(Config{Observer: o})
+	NewObserver(ObserverConfig{})
 }
 
 func TestGeneratedTraceIDsUnique(t *testing.T) {

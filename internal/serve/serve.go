@@ -5,9 +5,9 @@
 // The labeling is published with a single atomic pointer store
 // ([Server.Publish]) and never mutated afterwards, so every query handler
 // reads it lock-free and concurrently; until Publish, the /v1 endpoints
-// answer 503 and /v1/healthz acts as the readiness gate. Per-endpoint
-// latency is recorded into wait-free obs.Histograms and exposed in
-// /v1/stats.
+// answer 503 and /v1/healthz acts as the readiness gate. Request latency,
+// counters and spans come from an attached Observer and are exposed at
+// /metrics, not here.
 //
 // Endpoints (all JSON):
 //
@@ -18,8 +18,7 @@
 //	                             the incremental layer and republish the
 //	                             labeling (EnableIncremental servers only)
 //	GET  /v1/stats               graph/labeling summary: component count,
-//	                             size histogram, top-k sizes, endpoint
-//	                             latency quantiles
+//	                             size histogram, top-k sizes
 //	GET  /v1/healthz             200 once the labeling is published, 503
 //	                             while loading
 //
@@ -43,7 +42,6 @@ import (
 	"parconn"
 	"parconn/internal/graph"
 	"parconn/internal/obs"
-	"parconn/internal/obs/metrics"
 )
 
 // DefaultMaxBatch bounds the number of pairs one /v1/batch request may
@@ -52,7 +50,7 @@ import (
 // far above any sane batching window but caps the per-request work.
 const DefaultMaxBatch = 4096
 
-// Endpoints in latency-recording order; keys of LatencySnapshot.
+// Endpoint names, the endpoint label of the Observer's series.
 const (
 	EndpointComponent = "component"
 	EndpointSame      = "same"
@@ -67,15 +65,12 @@ type Config struct {
 	MaxBatch int
 	// TopK is how many largest components /v1/stats reports (0 = 5).
 	TopK int
-	// Observer, when set, instruments every timed endpoint with request
-	// counters, error-taxonomy counters, rolling latency quantiles, trace
-	// IDs, and head-sampled spans (see NewObserver). Nil serves without
-	// request-plane observability, exactly as before.
+	// Observer, when set, instruments every endpoint but healthz with
+	// request counters, error-taxonomy counters, latency histograms and
+	// rolling quantiles, trace IDs, and head-sampled spans, and registers
+	// the readiness and epoch gauges (see NewObserver). Nil serves the bare
+	// handlers.
 	Observer *Observer
-	// Metrics is the registry Observer's server-state series (cumulative
-	// latency histograms, readiness, published epoch) are registered in.
-	// Required when Observer is set; ignored otherwise.
-	Metrics *metrics.Registry
 }
 
 // Labeling is the immutable artifact a Server publishes: the answer array
@@ -109,9 +104,8 @@ type Server struct {
 	cfg     Config
 	pub     atomic.Pointer[published]
 	inc     atomic.Pointer[parconn.Incremental]
-	incBase atomic.Int64              // Labeling.Edges at EnableIncremental time
-	lat     map[string]*obs.Histogram // per-endpoint request latency, ns
-	obs     *Observer                 // nil = uninstrumented
+	incBase atomic.Int64 // Labeling.Edges at EnableIncremental time
+	obs     *Observer    // nil = uninstrumented
 }
 
 // New returns a Server that is not yet ready: queries answer 503 until
@@ -123,22 +117,9 @@ func New(cfg Config) *Server {
 	if cfg.TopK <= 0 {
 		cfg.TopK = 5
 	}
-	s := &Server{
-		cfg: cfg,
-		lat: map[string]*obs.Histogram{
-			EndpointComponent: {},
-			EndpointSame:      {},
-			EndpointBatch:     {},
-			EndpointInsert:    {},
-			EndpointStats:     {},
-		},
-		obs: cfg.Observer,
-	}
+	s := &Server{cfg: cfg, obs: cfg.Observer}
 	if s.obs != nil {
-		if cfg.Metrics == nil {
-			panic("serve: Config.Observer requires Config.Metrics")
-		}
-		s.obs.bind(s, cfg.Metrics)
+		s.obs.bind(s)
 	}
 	return s
 }
@@ -208,46 +189,29 @@ func (s *Server) republish(snap *parconn.IncrementalSnapshot) {
 	}
 }
 
-// LatencySnapshot returns the per-endpoint request-latency histograms
-// (nanoseconds), keyed by the Endpoint* constants.
-func (s *Server) LatencySnapshot() map[string]obs.HistogramSnapshot {
-	out := make(map[string]obs.HistogramSnapshot, len(s.lat))
-	for name, h := range s.lat {
-		out[name] = h.Snapshot()
-	}
-	return out
-}
-
 // Handler returns the /v1 mux. Mount it on the command's root mux,
 // typically alongside obshttp's debug handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/component", s.timed(EndpointComponent, s.serveComponent))
-	mux.HandleFunc("/v1/same", s.timed(EndpointSame, s.serveSame))
-	mux.HandleFunc("/v1/batch", s.timed(EndpointBatch, s.serveBatch))
-	mux.HandleFunc("/v1/insert", s.timed(EndpointInsert, s.serveInsert))
-	mux.HandleFunc("/v1/stats", s.timed(EndpointStats, s.serveStats))
+	mux.HandleFunc("/v1/component", s.observed(EndpointComponent, s.serveComponent))
+	mux.HandleFunc("/v1/same", s.observed(EndpointSame, s.serveSame))
+	mux.HandleFunc("/v1/batch", s.observed(EndpointBatch, s.serveBatch))
+	mux.HandleFunc("/v1/insert", s.observed(EndpointInsert, s.serveInsert))
+	mux.HandleFunc("/v1/stats", s.observed(EndpointStats, s.serveStats))
 	mux.HandleFunc("/v1/healthz", s.serveHealthz)
 	return mux
 }
 
-// timed wraps a handler with latency recording. The histogram is wait-free,
-// so concurrent requests never serialize on it. With an Observer attached,
-// the full request middleware (trace IDs, taxonomy counters, rolling
-// quantiles, sampled spans) runs instead; latency lands in the same
-// histogram either way.
-func (s *Server) timed(name string, h http.HandlerFunc) http.HandlerFunc {
-	hist := s.lat[name]
+// observed wraps h in the Observer's request middleware (trace IDs,
+// taxonomy counters, latency, sampled spans), or returns h itself on an
+// uninstrumented server.
+func (s *Server) observed(name string, h http.HandlerFunc) http.HandlerFunc {
 	if o := s.obs; o != nil {
 		return func(w http.ResponseWriter, r *http.Request) {
-			o.observe(name, hist, h, w, r)
+			o.observe(name, h, w, r)
 		}
 	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now() //parconn:allow norand request-latency stopwatch; no algorithmic randomness
-		h(w, r)
-		hist.Record(time.Since(start).Nanoseconds())
-	}
+	return h
 }
 
 // errorBody is the JSON shape of every non-2xx answer.
@@ -456,30 +420,19 @@ func (s *Server) serveInsert(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// endpointLatency is one endpoint's latency summary inside statsResponse.
-type endpointLatency struct {
-	Count  int64 `json:"count"`
-	MeanNS int64 `json:"mean_ns"`
-	P50NS  int64 `json:"p50_ns"`
-	P95NS  int64 `json:"p95_ns"`
-	P99NS  int64 `json:"p99_ns"`
-	MaxNS  int64 `json:"max_ns"`
-}
-
 // statsResponse answers /v1/stats.
 type statsResponse struct {
-	Vertices      int                        `json:"vertices"`
-	Edges         int64                      `json:"edges"`
-	Components    int                        `json:"components"`
-	Epoch         uint64                     `json:"epoch"`
-	Algorithm     string                     `json:"algorithm"`
-	Source        string                     `json:"source,omitempty"`
-	LoadMS        float64                    `json:"load_ms"`
-	LabelMS       float64                    `json:"label_ms"`
-	UptimeSec     float64                    `json:"uptime_sec"`
-	TopComponents []graph.ComponentSize      `json:"top_components"`
-	SizeHistogram obs.HistogramSnapshot      `json:"size_histogram"`
-	Endpoints     map[string]endpointLatency `json:"endpoints"`
+	Vertices      int                   `json:"vertices"`
+	Edges         int64                 `json:"edges"`
+	Components    int                   `json:"components"`
+	Epoch         uint64                `json:"epoch"`
+	Algorithm     string                `json:"algorithm"`
+	Source        string                `json:"source,omitempty"`
+	LoadMS        float64               `json:"load_ms"`
+	LabelMS       float64               `json:"label_ms"`
+	UptimeSec     float64               `json:"uptime_sec"`
+	TopComponents []graph.ComponentSize `json:"top_components"`
+	SizeHistogram obs.HistogramSnapshot `json:"size_histogram"`
 }
 
 func (s *Server) serveStats(w http.ResponseWriter, r *http.Request) {
@@ -489,17 +442,6 @@ func (s *Server) serveStats(w http.ResponseWriter, r *http.Request) {
 	p := s.loaded(w)
 	if p == nil {
 		return
-	}
-	eps := make(map[string]endpointLatency, len(s.lat))
-	for name, snap := range s.LatencySnapshot() {
-		eps[name] = endpointLatency{
-			Count:  snap.Count,
-			MeanNS: int64(snap.Mean()),
-			P50NS:  snap.Quantile(0.50),
-			P95NS:  snap.Quantile(0.95),
-			P99NS:  snap.Quantile(0.99),
-			MaxNS:  snap.Max,
-		}
 	}
 	writeJSON(w, http.StatusOK, statsResponse{
 		Vertices:      len(p.lab.Labels),
@@ -513,7 +455,6 @@ func (s *Server) serveStats(w http.ResponseWriter, r *http.Request) {
 		UptimeSec:     time.Since(p.since).Seconds(),
 		TopComponents: p.top,
 		SizeHistogram: p.sizeHist,
-		Endpoints:     eps,
 	})
 }
 
@@ -523,8 +464,8 @@ type healthzResponse struct {
 }
 
 // serveHealthz is the readiness gate: 503 while the labeling is computing,
-// 200 after Publish. Deliberately not latency-timed — load balancers poll
-// it and would drown the query histograms.
+// 200 after Publish. Deliberately not observed — load balancers poll it and
+// would drown the query histograms.
 func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.pub.Load() == nil {
 		w.Header().Set("Retry-After", "1")

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"parconn"
+	"parconn/internal/obs/metrics"
 )
 
 // testLabeling is two components: evens (label 0) and odds (label 1) over
@@ -214,10 +215,6 @@ func TestBatch(t *testing.T) {
 func TestStats(t *testing.T) {
 	_, ts := newReadyServer(t)
 
-	// Touch two endpoints so their latency histograms are non-empty.
-	getJSON(t, ts.URL+"/v1/component?v=0", nil)
-	getJSON(t, ts.URL+"/v1/same?u=0&v=1", nil)
-
 	var st statsResponse
 	if code := getJSON(t, ts.URL+"/v1/stats", &st); code != http.StatusOK {
 		t.Fatalf("status %d", code)
@@ -236,19 +233,13 @@ func TestStats(t *testing.T) {
 	if st.SizeHistogram.Count != 2 || st.SizeHistogram.Min != 4 || st.SizeHistogram.Max != 6 {
 		t.Fatalf("size histogram %+v", st.SizeHistogram)
 	}
-	if st.Endpoints[EndpointComponent].Count != 1 || st.Endpoints[EndpointSame].Count != 1 {
-		t.Fatalf("endpoint latencies %+v", st.Endpoints)
-	}
-	if st.Endpoints[EndpointComponent].P99NS <= 0 {
-		t.Fatalf("component p99 not recorded: %+v", st.Endpoints[EndpointComponent])
-	}
 }
 
 // TestConcurrentMixedQueries hammers every endpoint from many goroutines;
-// under -race this checks that the published labeling and the wait-free
-// latency histograms are safe to read and record concurrently.
+// under -race this checks that the published labeling and the Observer's
+// wait-free latency histograms are safe to read and record concurrently.
 func TestConcurrentMixedQueries(t *testing.T) {
-	s, ts := newReadyServer(t)
+	_, _, reg, _, ts := newObservedServer(t, 0)
 
 	const workers = 8
 	const perWorker = 50
@@ -293,13 +284,13 @@ func TestConcurrentMixedQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lat := s.LatencySnapshot()
-	var total int64
-	for _, snap := range lat {
-		total += snap.Count
+	parsed := scrape(t, reg)
+	var total float64
+	for _, ep := range observedEndpoints {
+		total += parsed[metrics.Series("parconn_http_request_duration_seconds_count", metrics.L("endpoint", ep))]
 	}
 	if total != workers*perWorker {
-		t.Fatalf("latency histograms recorded %d requests, want %d", total, workers*perWorker)
+		t.Fatalf("latency histograms recorded %v requests, want %d", total, workers*perWorker)
 	}
 }
 

@@ -4,15 +4,13 @@ import (
 	"io"
 	"time"
 
-	"parconn/internal/core"
-	"parconn/internal/decomp"
 	"parconn/internal/obs"
 )
 
 // This file is the public face of the observability layer (internal/obs):
 // type aliases so external callers can implement Recorder or consume events
-// without importing an internal package, plus constructors for the three
-// shipped sinks and the legacy-view helpers.
+// without importing an internal package, plus constructors for the shipped
+// sinks.
 
 // Recorder receives the structured event stream of connectivity runs: one
 // RunStart/RunEnd pair per ConnectedComponents call, LevelStart/LevelEnd per
@@ -45,8 +43,9 @@ type Span = obs.Span
 type SpanRecorder = obs.SpanRecorder
 
 // Trace is the in-memory Recorder: it stores every event in arrival order
-// and can re-emit them as JSONL. It subsumes PhaseTimes/LevelStat — see
-// PhaseTimesOf and LevelStatsOf.
+// and can re-emit them as JSONL. Phases, LevelEnds and Rounds filter it by
+// kind: the per-phase breakdown of Figures 5-7 and the per-level edge counts
+// of Figure 4.
 type Trace = obs.Trace
 
 // NewTrace returns an empty in-memory trace recorder.
@@ -60,31 +59,9 @@ type JSONLRecorder = obs.JSONLWriter
 // NewJSONLRecorder returns a recorder streaming JSONL to w.
 func NewJSONLRecorder(w io.Writer) *JSONLRecorder { return obs.NewJSONLWriter(w) }
 
-// NewExpvarRecorder returns a recorder aggregating events into
-// expvar-published counters for long-running embedders (prefix "" means
-// "parconn_"). Registration is process-permanent; repeated construction
-// with the same prefix reuses the existing variables.
-func NewExpvarRecorder(prefix string) Recorder { return obs.NewExpvar(prefix) }
-
 // MultiRecorder fans events out to every non-nil recorder, returning nil
 // when all are nil.
 func MultiRecorder(recs ...Recorder) Recorder { return obs.Multi(recs...) }
-
-// Histogram counts non-negative samples (nanosecond durations, frontier
-// sizes) in fixed log2-spaced buckets; recording is wait-free and
-// allocation-free, and histograms merge. The zero value is ready to use.
-type Histogram = obs.Histogram
-
-// HistogramSnapshot is a point-in-time histogram copy with quantile
-// estimation (the JSON shape served by the debug endpoint).
-type HistogramSnapshot = obs.HistogramSnapshot
-
-// HistogramSet is a Recorder aggregating the event stream into histograms:
-// per-(level, phase) durations, per-round frontier sizes and durations.
-type HistogramSet = obs.HistogramSet
-
-// NewHistogramSet returns an empty histogram-aggregating recorder.
-func NewHistogramSet() *HistogramSet { return obs.NewHistogramSet() }
 
 // FlightRecorder retains the most recent events in a bounded ring for live
 // or post-mortem inspection of a long run's tail.
@@ -129,14 +106,6 @@ func ValidateTrace(r io.Reader) (TraceSummary, error) { return obs.ValidateJSONL
 // ValidateTraceEvents checks the same invariants on already-parsed events
 // (e.g. a Trace's Events slice re-parsed from JSONL).
 func ValidateTraceEvents(events []obs.Event) (TraceSummary, error) { return obs.Validate(events) }
-
-// PhaseTimesOf rebuilds the legacy per-phase breakdown from a trace — the
-// compatibility view that Options.Phases is now a shorthand for.
-func PhaseTimesOf(t *Trace) PhaseTimes { return decomp.PhaseTimesFrom(t.Phases()) }
-
-// LevelStatsOf rebuilds the legacy per-level statistics from a trace — the
-// compatibility view that Options.Levels is now a shorthand for.
-func LevelStatsOf(t *Trace) []LevelStat { return core.LevelStatsFrom(t.LevelEnds()) }
 
 // now is the single clock read for run timing in this package; the
 // stopwatch is diagnostic instrumentation, not algorithmic state.

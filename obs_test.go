@@ -86,38 +86,6 @@ func TestTraceBracketing(t *testing.T) {
 	}
 }
 
-// TestTraceCompatViews checks that the legacy Phases/Levels accumulators and
-// the trace-derived views are built from the same event stream: attaching
-// both must produce identical numbers.
-func TestTraceCompatViews(t *testing.T) {
-	g := RMatGraph(9, RMatOptions{EdgeFactor: 8, Seed: 2})
-	for _, alg := range decompAlgorithms {
-		tr := NewTrace()
-		var pt PhaseTimes
-		var ls []LevelStat
-		if _, err := ConnectedComponents(g, Options{
-			Algorithm: alg, Seed: 9, Recorder: tr, Phases: &pt, Levels: &ls,
-		}); err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-		if got := PhaseTimesOf(tr); got != pt {
-			t.Fatalf("%v: PhaseTimesOf %+v != legacy %+v", alg, got, pt)
-		}
-		got := LevelStatsOf(tr)
-		if len(got) != len(ls) {
-			t.Fatalf("%v: %d trace levels vs %d legacy", alg, len(got), len(ls))
-		}
-		for i := range ls {
-			if got[i] != ls[i] {
-				t.Fatalf("%v: level %d: %+v != %+v", alg, i, got[i], ls[i])
-			}
-		}
-		if pt.Total() <= 0 || len(ls) == 0 {
-			t.Fatalf("%v: empty legacy views %+v %v", alg, pt, ls)
-		}
-	}
-}
-
 // TestTraceJSONLEndToEnd streams a live run through the JSONL recorder and
 // re-validates the parsed bytes.
 func TestTraceJSONLEndToEnd(t *testing.T) {
