@@ -126,7 +126,9 @@ type DedupMode = core.DedupMode
 // Duplicate-edge handling during graph contraction.
 const (
 	// DedupHash removes duplicates with a phase-concurrent hash table (the
-	// paper's choice).
+	// paper's choice) when a sample of a level's contracted edges shows
+	// heavy duplication (at most 1/16 of them distinct), and by sorting
+	// otherwise; labels are the same either way.
 	DedupHash = core.DedupHash
 	// DedupSort removes duplicates by sorting.
 	DedupSort = core.DedupSort

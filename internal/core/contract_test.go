@@ -212,3 +212,37 @@ func TestCCMinDeterministicAcrossProcsFullStack(t *testing.T) {
 		}
 	}
 }
+
+// TestRepeatedSamplesByValue checks the hash pre-pass's duplicate test on
+// levels whose copies of a value lie far apart, d positions, as a
+// decomposition's scattered cut edges do. A strided sample of 1024 of the
+// 200,000 pairs over 5,000 values sees almost no value twice; the value
+// sample must find them 40 times repeated.
+func TestRepeatedSamplesByValue(t *testing.T) {
+	level := func(n, d int) []uint64 {
+		pairs := make([]uint64, n)
+		for i := range pairs {
+			pairs[i] = uint64(i*7919%d+1) << 20
+		}
+		return pairs
+	}
+	cases := []struct {
+		n, d int
+		want bool
+	}{
+		{0, 1, false},
+		{10, 1, false},
+		{500, 500, false},
+		{500, 100, false},
+		{500, 20, true},
+		{200_000, 200_000, false},
+		{200_000, 20_000, false},
+		{200_000, 5_000, true},
+		{100_000, 6, true},
+	}
+	for _, c := range cases {
+		if got := repeated(level(c.n, c.d)); got != c.want {
+			t.Errorf("%d pairs over %d values: repeated = %v, want %v", c.n, c.d, got, c.want)
+		}
+	}
+}

@@ -33,6 +33,7 @@ import (
 	"parconn/internal/intsort"
 	"parconn/internal/obs"
 	"parconn/internal/parallel"
+	"parconn/internal/prand"
 	"parconn/internal/workspace"
 )
 
@@ -42,7 +43,11 @@ type DedupMode int
 
 const (
 	// DedupHash removes duplicates with the phase-concurrent hash table
-	// (the paper's choice, §4).
+	// (the paper's choice, §4) when a sample of the level's pairs shows
+	// heavy duplication, at most 1/16 of them distinct (see repeated), and
+	// by sorting and compacting otherwise: the table pays only when it
+	// shrinks the sort's input a lot. Both paths produce the same pairs, so
+	// labels do not depend on the choice.
 	DedupHash DedupMode = iota
 	// DedupSort removes duplicates by sorting and compacting.
 	DedupSort
@@ -143,10 +148,19 @@ type ccMachine struct {
 	subOffs        []int64
 	subAdj, subDeg []int32
 	subLabels      []int32
-	set            hashtable.Set
+	hashed         int64 // pairs the last contract sent through the hash pre-pass
+
+	// The contraction primitives, kept with their bound block bodies and
+	// block scratch so a warm level allocates nothing but its sections.
+	set    hashtable.Set
+	sorter intsort.Sorter
+	scan32 parallel.Scan[int32]
+	scan64 parallel.Scan[int64]
+	pack   parallel.Packer[uint64]
 
 	fnCount, fnPairs, fnInsert, fnFirst, fnRank, fnSubAdj func(lo, hi int)
 	fnRelabelReps, fnShortcut                             func(lo, hi int)
+	fnDistinct                                            func(i int) bool
 
 	// Bound pprof.Do bodies for the recorder path: per-level closure
 	// literals would heap-allocate at each of the O(levels) creations, so
@@ -218,6 +232,11 @@ func newCCMachine() *ccMachine {
 		for i := lo; i < hi; i++ {
 			set.Insert(pairs[i])
 		}
+	}
+	// Keep the first pair of each run of equal sorted pairs.
+	m.fnDistinct = func(i int) bool {
+		pairs := m.pairs
+		return i == 0 || pairs[i] != pairs[i-1]
 	}
 	// Flag the first pair of each source in subAdj's storage; the exclusive
 	// scan of the flags ranks the components that keep an edge. Because the
@@ -468,6 +487,7 @@ func (m *ccMachine) ccLevel(w *decomp.WGraph, level int, edges int64) ([]int32, 
 	}
 	ctDur := time.Since(tCt)
 	if rec != nil {
+		rec.Counter(obs.Counter{Name: obs.CounterHashedPairs, Value: m.hashed})
 		end.EdgesOut = edgesOut
 		rec.LevelEnd(end)
 	}
@@ -539,7 +559,7 @@ func (m *ccMachine) contract(procs int, w *decomp.WGraph, sub *decomp.WGraph, la
 	blockOut := ws.Int64((n + pairGrain - 1) / pairGrain)
 	m.blockOut = blockOut
 	pool.Blocks(procs, n, pairGrain, m.fnCount)
-	total := parallel.ExScan(procs, blockOut)
+	total := m.scan64.Exclusive(pool, procs, blockOut, blockOut)
 	bits := uint(intsort.Bits(uint64(max(1, n-1))))
 	m.bits = bits
 	m.mask = uint64(1)<<bits - 1
@@ -550,14 +570,19 @@ func (m *ccMachine) contract(procs int, w *decomp.WGraph, sub *decomp.WGraph, la
 	m.blockOut = nil
 
 	// Deduplicate and sort. Every mode ends with pairs sorted by
-	// (src, tgt), which the CSR build below requires.
-	if m.opt.Dedup == DedupHash {
-		// Hash dedup first so the integer sort only handles unique edges.
+	// (src, tgt), which the CSR build below requires. DedupHash hashes
+	// first, so the integer sort only handles unique pairs, but only when
+	// a sample shows enough repeats to pay for the table; otherwise it
+	// sorts and compacts like DedupSort. Both yield the same sorted unique
+	// pairs, so the choice never changes a label.
+	m.hashed = 0
+	if m.opt.Dedup == DedupHash && repeated(pairs) {
+		m.hashed = int64(len(pairs))
 		slots := ws.Uint64(hashtable.SizeFor(len(pairs)))
-		m.set.Reset(procs, slots)
+		m.set.ResetOn(pool, procs, slots)
 		pool.Blocks(procs, len(pairs), 0, m.fnInsert)
 		uniq := ws.Uint64(m.set.Len())
-		m.set.ElementsInto(procs, uniq)
+		m.set.ElementsInto(pool, procs, uniq)
 		m.set.Drop()
 		ws.PutUint64(slots)
 		ws.PutUint64(pairs)
@@ -565,20 +590,15 @@ func (m *ccMachine) contract(procs int, w *decomp.WGraph, sub *decomp.WGraph, la
 		m.pairs = pairs
 	}
 	scratch := ws.Uint64(len(pairs))
-	intsort.SortUint64In(procs, pairs, int(2*bits), scratch)
-	ws.PutUint64(scratch)
-	if m.opt.Dedup == DedupSort {
-		// Drop adjacent duplicates in place, serially: parallel.PackInto
-		// does not fork at any size (ROADMAP), and a predicate closure
-		// capturing pairs would heap-allocate on every call, in every mode.
-		u := 0
-		for i, p := range pairs {
-			if i == 0 || p != pairs[u-1] {
-				pairs[u] = p
-				u++
-			}
-		}
-		pairs = pairs[:u]
+	m.sorter.Sort(pool, procs, pairs, int(2*bits), scratch)
+	if m.opt.Dedup == DedupNone || m.hashed > 0 {
+		ws.PutUint64(scratch)
+	} else {
+		// Drop adjacent duplicates by packing into the sort's scratch,
+		// which then replaces pairs.
+		u := m.pack.Into(pool, procs, scratch, pairs, m.fnDistinct)
+		ws.PutUint64(pairs)
+		pairs = scratch[:u]
 		m.pairs = pairs
 	}
 	edgesOut = int64(len(pairs))
@@ -589,7 +609,7 @@ func (m *ccMachine) contract(procs int, w *decomp.WGraph, sub *decomp.WGraph, la
 	subAdj := ws.Int32(len(pairs))
 	m.subAdj = subAdj
 	pool.Blocks(procs, len(pairs), 0, m.fnFirst)
-	kPrime := int(parallel.ExScan(procs, subAdj))
+	kPrime := int(m.scan32.Exclusive(pool, procs, subAdj, subAdj))
 	rep = ws.Int32(kPrime)
 	idx := ws.Int32(n)
 	subOffs := ws.Int64(kPrime + 1)
@@ -606,4 +626,53 @@ func (m *ccMachine) contract(procs int, w *decomp.WGraph, sub *decomp.WGraph, la
 	m.w, m.labels, m.pairs, m.rep, m.idx = nil, nil, nil, nil, nil
 	m.subOffs, m.subAdj, m.subDeg = nil, nil, nil
 	return rep, edgesOut
+}
+
+// dedupSample is about how many pairs repeated samples.
+const dedupSample = 1024
+
+// repeated reports whether pairs repeat heavily, at most 1/16 of them
+// distinct: the case where the hash pre-pass (Shun and Blelloch's
+// phase-concurrent table, the paper's dedup) pays for itself by shrinking
+// the sort's input (EXPERIMENTS.md "Contraction on both workers" has the
+// measurements behind 1/16). It samples by value, not by position: it
+// counts the distinct pairs whose hash falls in a fixed bucket of 1 in k,
+// with k about len(pairs)/dedupSample, and k times that count estimates
+// the level's distinct pairs. Every copy of a value hashes alike, so the
+// estimate holds however the copies lie; a strided sample of scattered
+// copies would hold two of one value only by chance. It stops as soon as
+// the estimate passes 1/16, so a level of distinct pairs is decided early.
+// The distinct count uses a linear-probe table on the stack, so the test
+// allocates nothing. Pairs never equal hashtable.Empty: each half holds at
+// most 31 bits.
+func repeated(pairs []uint64) bool {
+	n := len(pairs)
+	k := max(1, n/dedupSample)
+	cut := ^uint64(0) / uint64(k)
+	// limit is at most 2*dedupSample/16, as n < dedupSample*(k+1), so the
+	// table never gets more than half full.
+	limit := n / (16 * k)
+	const size = 4 * dedupSample / 16
+	var table [size]uint64
+	for i := range table {
+		table[i] = hashtable.Empty
+	}
+	distinct := 0
+	for _, x := range pairs {
+		h := prand.Hash64(x)
+		if h > cut {
+			continue
+		}
+		i := h & (size - 1)
+		for table[i] != hashtable.Empty && table[i] != x {
+			i = (i + 1) & (size - 1)
+		}
+		if table[i] == hashtable.Empty {
+			if distinct++; distinct > limit {
+				return false
+			}
+			table[i] = x
+		}
+	}
+	return n > 0
 }

@@ -86,7 +86,7 @@ func newArbMachine() *arbMachine {
 					// Publish what this block staged so far first, so a
 					// serial section keeps appending in scan order.
 					out.Flush()
-					kept += processEdgesParallel(g, c, parents, v, cv, nxt, &m.cursor, procs)
+					kept += processEdgesParallel(m.pool, g, c, parents, v, cv, nxt, &m.cursor, procs)
 					continue
 				}
 				var k int64

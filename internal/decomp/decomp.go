@@ -27,6 +27,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"parconn/internal/intsort"
 	"parconn/internal/obs"
 	"parconn/internal/parallel"
 	"parconn/internal/prand"
@@ -243,16 +244,21 @@ type shifts struct {
 	cum   []int32
 }
 
-// shiftDraw is the parallel draw of the shifts, with its loop body bound
-// once per machine (see Scratch) so a level allocates no closure. Each block
-// also folds its maximum into dmaxBits, one CAS per block, which replaces a
-// separate max-reduction pass.
+// shiftDraw is the parallel draw of the shifts and their bucketing by start
+// round, with its loop bodies and counting pass bound once per machine (see
+// Scratch) so a level allocates no closure. Each draw block also folds its
+// maximum into dmaxBits, one CAS per block, which replaces a separate
+// max-reduction pass.
 type shiftDraw struct {
 	deltas   []float64
+	start    []int32 // start round of each vertex
 	beta     float64
 	seed     uint64
 	dmaxBits atomic.Uint64 // math.Float64bits of the largest delta drawn so far
+	dmax     float64
 	fn       func(lo, hi int)
+	fnStart  func(lo, hi int)
+	rounds   intsort.Sorter // stable counting pass from start rounds to order
 }
 
 //parconn:allow hotalloc the draw loop is bound once per machine, which a Scratch recycles across levels and runs
@@ -274,51 +280,37 @@ func newShiftDraw() *shiftDraw {
 			}
 		}
 	}
+	d.fnStart = func(lo, hi int) {
+		deltas, start, dmax := d.deltas, d.start, d.dmax
+		for v := lo; v < hi; v++ {
+			start[v] = int32(dmax - deltas[v])
+		}
+	}
 	return d
 }
 
-// newShifts draws the shifts on pool; its scratch (deltas, counting-sort
-// arrays) and its results (order, cum) come from ws. The scratch is
-// released before returning, and the caller releases order and cum via
-// shifts.release when the decomposition's round loop ends.
+// newShifts draws the shifts on pool and buckets the vertices by start
+// round with intsort's stable counting pass, so order lists each round's
+// vertices in increasing id. Its scratch (deltas, start rounds) and its
+// results (order, cum) come from ws. The scratch is released before
+// returning, and the caller releases order and cum via shifts.release when
+// the decomposition's round loop ends.
 func (d *shiftDraw) newShifts(pool *parallel.Pool, n int, beta float64, seed uint64, procs int, ws *workspace.Arena) shifts {
 	deltas := ws.Float64(n)
 	d.deltas, d.beta, d.seed = deltas, beta, seed
 	// Every delta is >= 0, so 0 is a neutral start for the max.
 	d.dmaxBits.Store(0)
 	pool.Blocks(procs, n, 0, d.fn)
-	dmax := math.Float64frombits(d.dmaxBits.Load())
-	d.deltas = nil
-	rounds := int(dmax) + 1
-	// Counting sort by start round (sequential: O(n + rounds), a tiny
-	// fraction of a decomposition's work, and proc-count independent).
-	// Counts fit int32 because vertex ids do. Arena buffers come back
-	// dirty, so zero counts explicitly.
-	counts := ws.Int32(rounds + 1)
-	for r := range counts {
-		counts[r] = 0
-	}
+	d.dmax = math.Float64frombits(d.dmaxBits.Load())
+	rounds := int(d.dmax) + 1
 	start := ws.Int32(n)
-	for v := 0; v < n; v++ {
-		r := int(dmax - deltas[v])
-		start[v] = int32(r)
-		counts[r]++
-	}
-	cum := ws.Int32(rounds)
-	acc := int32(0)
-	for r := 0; r < rounds; r++ {
-		acc += counts[r]
-		cum[r] = acc
-		counts[r] = acc - counts[r] // scatter cursor
-	}
+	d.start = start
+	pool.Blocks(procs, n, 0, d.fnStart)
+	d.deltas, d.start = nil, nil
 	order := ws.Int32(n)
-	for v := 0; v < n; v++ {
-		r := start[v]
-		order[counts[r]] = int32(v)
-		counts[r]++
-	}
+	cum := ws.Int32(rounds)
+	d.rounds.Order(pool, procs, start, rounds, order, cum)
 	ws.PutFloat64(deltas)
-	ws.PutInt32(counts)
 	ws.PutInt32(start)
 	//parconn:allow scratchlifetime order and cum transfer to the round loop and are released via shifts.release
 	return shifts{order: order, cum: cum}

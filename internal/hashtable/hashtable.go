@@ -19,11 +19,18 @@ import (
 // Empty is the reserved slot value; it may not be inserted as a key.
 const Empty = ^uint64(0)
 
-// Set is a fixed-capacity concurrent-insert hash set of uint64 keys.
+// Set is a fixed-capacity concurrent-insert hash set of uint64 keys. It
+// must not be copied after first use: its fill and pack bodies are bound
+// once and kept, so a long-lived Set (the contraction machine keeps one)
+// re-aimed with ResetOn allocates nothing per level.
 type Set struct {
 	slots []uint64
 	mask  uint64
 	count atomic.Int64
+
+	pack       parallel.Packer[uint64]
+	fnFill     func(lo, hi int)
+	fnOccupied func(i int) bool
 }
 
 // SizeFor returns the slot-array length used for a set of the given
@@ -47,12 +54,18 @@ func NewSet(procs, capacity int) *Set {
 	return s
 }
 
-// Reset re-initializes s as an empty set backed by slots, whose length must
-// be a power of two (use SizeFor). It exists so a long-lived Set can be
-// re-aimed at recycled scratch memory each contraction level instead of
-// allocating a fresh table; the previous backing array is abandoned
-// (callers recycling it must release it before or after Reset themselves).
+// Reset is ResetOn on the default pool.
 func (s *Set) Reset(procs int, slots []uint64) {
+	s.ResetOn(parallel.Default(), procs, slots)
+}
+
+// ResetOn re-initializes s as an empty set backed by slots, whose length
+// must be a power of two (use SizeFor), filling the slots on pool p. It
+// exists so a long-lived Set can be re-aimed at recycled scratch memory
+// each contraction level instead of allocating a fresh table; the previous
+// backing array is abandoned (callers recycling it must release it before
+// or after ResetOn themselves).
+func (s *Set) ResetOn(p *parallel.Pool, procs int, slots []uint64) {
 	size := len(slots)
 	if size == 0 || size&(size-1) != 0 {
 		panic("hashtable: Reset slots length must be a nonzero power of two")
@@ -61,18 +74,31 @@ func (s *Set) Reset(procs int, slots []uint64) {
 	s.mask = uint64(size - 1)
 	s.count.Store(0)
 	if procs == 1 {
-		// Inline, so a one-worker caller builds no closure.
+		// Inline, so a one-worker caller needs no bound body.
 		for i := range slots {
 			slots[i] = Empty
 		}
 		return
 	}
-	parallel.Blocks(procs, size, 0, func(lo, hi int) {
+	s.bind()
+	p.Blocks(procs, size, 0, s.fnFill)
+}
+
+// bind binds the fill and occupancy bodies on first use.
+func (s *Set) bind() {
+	if s.fnFill != nil {
+		return
+	}
+	s.fnFill = func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			//parconn:allow mixedatomic pre-publication init; the Blocks join barrier publishes slots before any Insert
 			s.slots[i] = Empty
 		}
-	})
+	}
+	s.fnOccupied = func(i int) bool {
+		//parconn:allow mixedatomic the element read phase must not overlap Insert (phase-concurrency contract above)
+		return s.slots[i] != Empty
+	}
 }
 
 // Insert adds key to the set; it reports whether the key was newly inserted.
@@ -140,19 +166,20 @@ func (s *Set) Len() int { return int(s.count.Load()) }
 // deterministic for a fixed insert set and table size... note: slot layout
 // depends on insert interleaving only when distinct keys race for one slot's
 // probe chain, so ordering may vary across runs; callers sort afterwards if
-// they need a canonical order). Must not run concurrently with Insert.
+// they need a canonical order). It packs on the default pool and must not
+// run concurrently with Insert.
 func (s *Set) Elements(procs int) []uint64 {
-	//parconn:allow mixedatomic Elements must not overlap Insert (phase-concurrency contract above)
-	return parallel.Pack(procs, s.slots, func(i int) bool { return s.slots[i] != Empty })
+	s.bind()
+	return parallel.Pack(procs, s.slots, s.fnOccupied)
 }
 
 // ElementsInto writes the set's keys into dst (which must hold at least
-// Len() elements; dst must not alias the backing slots) and returns the
-// number written. Ordering matches Elements. Must not run concurrently with
-// Insert.
-func (s *Set) ElementsInto(procs int, dst []uint64) int {
+// Len() elements; dst must not alias the backing slots), packing on pool p,
+// and returns the number written. Ordering matches Elements. Must not run
+// concurrently with Insert.
+func (s *Set) ElementsInto(p *parallel.Pool, procs int, dst []uint64) int {
 	if procs == 1 {
-		// Inline, so a one-worker caller builds no closure.
+		// Inline, so a one-worker caller needs no bound body.
 		k := 0
 		//parconn:allow mixedatomic ElementsInto must not overlap Insert (phase-concurrency contract above)
 		for _, x := range s.slots {
@@ -163,7 +190,6 @@ func (s *Set) ElementsInto(procs int, dst []uint64) int {
 		}
 		return k
 	}
-	//parconn:allow mixedatomic ElementsInto must not overlap Insert (phase-concurrency contract above)
-	//parconn:allow hotalloc one pack-predicate closure per compaction, inside the steady-state budget
-	return parallel.PackInto(procs, dst, s.slots, func(i int) bool { return s.slots[i] != Empty })
+	s.bind()
+	return s.pack.Into(p, procs, dst, s.slots, s.fnOccupied)
 }

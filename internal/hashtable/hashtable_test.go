@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"parconn/internal/parallel"
 	"parconn/internal/prand"
 )
 
@@ -78,7 +79,7 @@ func TestElementsMatchInserted(t *testing.T) {
 	// ElementsInto gives the same table order, inline at one worker too.
 	for _, procs := range []int{1, 2} {
 		dst := make([]uint64, s.Len())
-		if k := s.ElementsInto(procs, dst); k != len(got) || !slices.Equal(dst, got) {
+		if k := s.ElementsInto(parallel.Default(), procs, dst); k != len(got) || !slices.Equal(dst, got) {
 			t.Fatalf("ElementsInto(%d) wrote %d keys, differing from Elements", procs, k)
 		}
 	}

@@ -79,11 +79,16 @@ const (
 	PhaseMeasure     = "measure"      // per-level edge reductions done only for observability
 )
 
-// Counter names emitted by the engine at the end of a run.
+// Counter names emitted by the engine: end-of-run totals, and the per-level
+// CounterHashedPairs.
 const (
 	CounterArenaReused = "arena_reused_bytes" // scratch bytes served from the arena free lists
 	CounterArenaAlloc  = "arena_alloc_bytes"  // scratch bytes freshly allocated
 	CounterPoolJoins   = "pool_worker_joins"  // pool helpers that joined parallel sections
+	// CounterHashedPairs is emitted once per contracted level, before its
+	// level_end: the pairs that level sent through the hash dedup pre-pass
+	// (0 when its sample showed too few repeats to hash).
+	CounterHashedPairs = "contract_hashed_pairs"
 )
 
 // PhaseNames lists every phase the engine emits. Validate accepts exactly
@@ -96,7 +101,7 @@ var PhaseNames = []string{
 
 // CounterNames lists every counter the engine emits, with the same role as
 // PhaseNames.
-var CounterNames = []string{CounterArenaReused, CounterArenaAlloc, CounterPoolJoins}
+var CounterNames = []string{CounterArenaReused, CounterArenaAlloc, CounterPoolJoins, CounterHashedPairs}
 
 // RunStart describes a connectivity run about to execute.
 type RunStart struct {

@@ -1,14 +1,120 @@
 package parallel
 
-// Pack returns the elements xs[i] for which keep(i) is true, preserving
-// order. It is the work-efficient "pack" (filter) primitive: a flag pass, an
-// exclusive scan over block counts, and a scatter pass.
+// Packer is the one pack (filter) body behind Pack and PackInto, and
+// PackIndex's flag pass: the work-efficient flag pass, exclusive scan over
+// block counts, and scatter pass. The input is cut into blockCount blocks; the count and
+// scatter passes are dispatched one block per claim on the caller's pool,
+// so they fork whenever it has a second worker, and the scan of the few
+// block counts runs on the caller.
 //
-//parconn:allow hotalloc the result slice and per-block counts are the pack primitive's documented per-call cost, budgeted per section
-func Pack[T any](procs int, xs []T, keep func(i int) bool) []T {
+// The zero Packer is ready to use, and it must not be copied after first
+// use. Keeping one across calls binds its two block bodies and its count
+// array once, so a warm call allocates nothing beyond the pool's
+// per-section cost. A Packer serves one call at a time.
+type Packer[T any] struct {
+	dst, xs          []T
+	keep             func(i int) bool
+	counts           []int
+	n                int
+	fnCount, fnWrite func(lo, hi int)
+}
+
+// Into writes, in order, the elements xs[i] for which keep(i) is true into
+// dst on pool p and returns how many it wrote. dst must have room for every
+// kept element and must not alias xs.
+func (k *Packer[T]) Into(p *Pool, procs int, dst, xs []T, keep func(i int) bool) int {
 	n := len(xs)
-	procs = Procs(procs)
-	if procs == 1 || n < 2*DefaultGrain {
+	nblocks := blockCount(procs, n)
+	if nblocks == 1 {
+		c := 0
+		for i := 0; i < n; i++ {
+			if keep(i) {
+				dst[c] = xs[i]
+				c++
+			}
+		}
+		return c
+	}
+	total := k.count(p, procs, nblocks, n, keep)
+	_ = dst[:total] // bounds check once: dst must hold every kept element
+	k.write(p, procs, dst, xs)
+	return total
+}
+
+// count runs the flag pass over nblocks blocks of [0,n) and scans the block
+// counts into block offsets, returning the number of kept elements.
+func (k *Packer[T]) count(p *Pool, procs, nblocks, n int, keep func(i int) bool) int {
+	if k.fnCount == nil {
+		k.bind()
+	}
+	if cap(k.counts) < nblocks {
+		k.counts = make([]int, nblocks)
+	}
+	k.counts = k.counts[:nblocks]
+	k.n, k.keep = n, keep
+	p.Blocks(procs, nblocks, 1, k.fnCount)
+	return scanSerial(k.counts, k.counts)
+}
+
+// write is the scatter pass after count.
+func (k *Packer[T]) write(p *Pool, procs int, dst, xs []T) {
+	k.dst, k.xs = dst, xs
+	p.Blocks(procs, len(k.counts), 1, k.fnWrite)
+	k.dst, k.xs, k.keep = nil, nil, nil
+}
+
+// bind binds the two block bodies, which read each call's state from k.
+func (k *Packer[T]) bind() {
+	k.fnCount = func(lo, hi int) {
+		keep := k.keep
+		for b := lo; b < hi; b++ {
+			l, h := blockRange(k.n, len(k.counts), b)
+			c := 0
+			for i := l; i < h; i++ {
+				if keep(i) {
+					c++
+				}
+			}
+			k.counts[b] = c
+		}
+	}
+	k.fnWrite = func(lo, hi int) {
+		dst, xs, keep := k.dst, k.xs, k.keep
+		for b := lo; b < hi; b++ {
+			l, h := blockRange(k.n, len(k.counts), b)
+			c := k.counts[b]
+			for i := l; i < h; i++ {
+				if keep(i) {
+					dst[c] = xs[i]
+					c++
+				}
+			}
+		}
+	}
+}
+
+// PackInto is Pack writing into caller-provided storage on the default
+// pool: it fills dst (which must have capacity for every kept element and
+// must not alias xs) and returns the number of elements written.
+func PackInto[T any](procs int, dst, xs []T, keep func(i int) bool) int {
+	var k Packer[T]
+	return k.Into(Default(), procs, dst, xs, keep)
+}
+
+// Pack returns the elements xs[i] for which keep(i) is true, preserving
+// order, computed on the default pool.
+func Pack[T any](procs int, xs []T, keep func(i int) bool) []T {
+	return PackOn(Default(), procs, xs, keep)
+}
+
+// PackOn is Pack on pool p. The output is allocated at its exact size
+// between the count and scatter passes.
+//
+//parconn:allow hotalloc the result slice and the Packer are the allocating pack form's documented per-call cost
+func PackOn[T any](p *Pool, procs int, xs []T, keep func(i int) bool) []T {
+	n := len(xs)
+	nblocks := blockCount(procs, n)
+	if nblocks == 1 {
 		out := make([]T, 0, n/4+16)
 		for i := 0; i < n; i++ {
 			if keep(i) {
@@ -17,91 +123,24 @@ func Pack[T any](procs int, xs []T, keep func(i int) bool) []T {
 		}
 		return out
 	}
-	nblocks := procs * 4
-	blockOf := func(b int) (int, int) {
-		return n * b / nblocks, n * (b + 1) / nblocks
-	}
-	counts := make([]int, nblocks)
-	For(procs, nblocks, func(b int) {
-		lo, hi := blockOf(b)
-		c := 0
-		for i := lo; i < hi; i++ {
-			if keep(i) {
-				c++
-			}
-		}
-		counts[b] = c
-	})
-	total := scanSerial(counts, counts)
-	out := make([]T, total)
-	For(procs, nblocks, func(b int) {
-		lo, hi := blockOf(b)
-		k := counts[b]
-		for i := lo; i < hi; i++ {
-			if keep(i) {
-				out[k] = xs[i]
-				k++
-			}
-		}
-	})
+	var k Packer[T]
+	out := make([]T, k.count(p, procs, nblocks, n, keep))
+	k.write(p, procs, out, xs)
 	return out
 }
 
-// PackInto is Pack writing into caller-provided storage: it fills dst
-// (which must have capacity for every kept element) and returns the number
-// of elements written. dst must not alias xs. It allocates nothing beyond
-// the small per-block count array on the parallel path.
-//
-//parconn:allow hotalloc the small per-block count array is the documented parallel-path cost (see the doc comment)
-func PackInto[T any](procs int, dst, xs []T, keep func(i int) bool) int {
-	n := len(xs)
-	procs = Procs(procs)
-	if procs == 1 || n < 2*DefaultGrain {
-		k := 0
-		for i := 0; i < n; i++ {
-			if keep(i) {
-				dst[k] = xs[i]
-				k++
-			}
-		}
-		return k
-	}
-	nblocks := procs * 4
-	blockOf := func(b int) (int, int) {
-		return n * b / nblocks, n * (b + 1) / nblocks
-	}
-	counts := make([]int, nblocks)
-	For(procs, nblocks, func(b int) {
-		lo, hi := blockOf(b)
-		c := 0
-		for i := lo; i < hi; i++ {
-			if keep(i) {
-				c++
-			}
-		}
-		counts[b] = c
-	})
-	total := scanSerial(counts, counts)
-	_ = dst[:total] // bounds check once: dst must hold every kept element
-	For(procs, nblocks, func(b int) {
-		lo, hi := blockOf(b)
-		k := counts[b]
-		for i := lo; i < hi; i++ {
-			if keep(i) {
-				dst[k] = xs[i]
-				k++
-			}
-		}
-	})
-	return total
+// PackIndex returns, in order, the indices i in [0,n) for which keep(i) is
+// true, as int32 values, computed on the default pool. It is used to
+// compact bitmap frontiers back to sparse form.
+func PackIndex(procs, n int, keep func(i int) bool) []int32 {
+	return PackIndexOn(Default(), procs, n, keep)
 }
 
-// PackIndex returns, in order, the indices i in [0,n) for which keep(i) is
-// true, as int32 values. It is used to compact bitmap frontiers back to
-// sparse form.
-func PackIndex(procs, n int, keep func(i int) bool) []int32 {
-	procs = Procs(procs)
-	if procs == 1 || n < 2*DefaultGrain {
+// PackIndexOn is PackIndex on pool p. It shares Packer's flag pass and
+// writes each kept index directly, with no identity array to pack.
+func PackIndexOn(p *Pool, procs, n int, keep func(i int) bool) []int32 {
+	nblocks := blockCount(procs, n)
+	if nblocks == 1 {
 		out := make([]int32, 0, 16)
 		for i := 0; i < n; i++ {
 			if keep(i) {
@@ -110,30 +149,18 @@ func PackIndex(procs, n int, keep func(i int) bool) []int32 {
 		}
 		return out
 	}
-	nblocks := procs * 4
-	blockOf := func(b int) (int, int) {
-		return n * b / nblocks, n * (b + 1) / nblocks
-	}
-	counts := make([]int, nblocks)
-	For(procs, nblocks, func(b int) {
-		lo, hi := blockOf(b)
-		c := 0
-		for i := lo; i < hi; i++ {
-			if keep(i) {
-				c++
-			}
-		}
-		counts[b] = c
-	})
-	total := scanSerial(counts, counts)
-	out := make([]int32, total)
-	For(procs, nblocks, func(b int) {
-		lo, hi := blockOf(b)
-		k := counts[b]
-		for i := lo; i < hi; i++ {
-			if keep(i) {
-				out[k] = int32(i)
-				k++
+	var k Packer[int32]
+	out := make([]int32, k.count(p, procs, nblocks, n, keep))
+	counts := k.counts
+	p.Blocks(procs, nblocks, 1, func(lo, hi int) {
+		for b := lo; b < hi; b++ {
+			l, h := blockRange(n, nblocks, b)
+			c := counts[b]
+			for i := l; i < h; i++ {
+				if keep(i) {
+					out[c] = int32(i)
+					c++
+				}
 			}
 		}
 	})

@@ -15,6 +15,15 @@
 // runtime.GOMAXPROCS(0). The package-level functions share one default
 // pool; callers that want scheduling isolation construct their own Pool and
 // use the equivalent methods.
+//
+// Scan and pack each have one body, Scan and Packer, which take the pool to
+// fork on. They cut their input into a few blocks per worker (blockCount)
+// and dispatch those blocks one per claim, so a two-worker pool runs them
+// on both workers; ExScan, ExScanInto, InScan, Pack and PackInto are thin
+// wrappers running them on the default pool, and PackIndex shares Packer's
+// flag pass but writes indices rather than elements. A caller that keeps a
+// Scan or Packer across calls (the contraction machine does) pays for its
+// bound bodies and block scratch once.
 package parallel
 
 import (
@@ -102,7 +111,6 @@ func (p *Pool) ForGrain(procs, n, grain int, fn func(i int)) {
 	if procs > nblocks {
 		procs = nblocks
 	}
-	//parconn:allow hotalloc per-section task descriptor; part of the scheduler's budgeted steady-state allocations
 	p.exec(&task{fnIdx: fn, n: n, grain: grain, nblocks: nblocks}, procs)
 }
 

@@ -32,11 +32,12 @@ import (
 // transient goroutines with the same join protocol, preserving the
 // pre-pool semantics that procs is honored exactly.
 type Pool struct {
-	procs int
-	jobs  chan *task
-	quit  chan struct{}
-	wg    sync.WaitGroup
-	joins atomic.Int64 // cumulative helpers that joined a section; see Joins
+	procs    int
+	jobs     chan *task
+	quit     chan struct{}
+	wg       sync.WaitGroup
+	joins    atomic.Int64 // cumulative helpers that joined a section; see Joins
+	sections atomic.Int64 // cumulative sections that forked; see Sections
 }
 
 // closedBit marks a task whose caller has finished claiming blocks; the low
@@ -169,6 +170,17 @@ func (p *Pool) Procs() int { return p.procs }
 // numbers difference two snapshots.
 func (p *Pool) Joins() int64 { return p.joins.Load() }
 
+// Sections reports the cumulative number of parallel sections this pool
+// ran, that is, calls that forked rather than taking a serial fast path.
+// Each one costs a fixed SectionAllocs heap allocations, so a test can
+// count a run's allocations independently of how many sections the
+// timing-driven grain choices forked.
+func (p *Pool) Sections() int64 { return p.sections.Load() }
+
+// SectionAllocs is the fixed heap-allocation cost of one parallel section
+// whose participants all come from the pool: its task and its done channel.
+const SectionAllocs = 2
+
 // Close stops the pool's parked workers and waits for them to exit. It must
 // only be called once, after all sections using the pool have returned.
 func (p *Pool) Close() {
@@ -183,6 +195,7 @@ func (p *Pool) Close() {
 //
 //parconn:allow hotalloc,blockingcall the per-section join channel, oversubscription helpers, and the final join receive are the scheduler's budgeted section cost; the join parks the submitting goroutine only after its own blocks are done
 func (p *Pool) exec(t *task, want int) {
+	p.sections.Add(1)
 	t.done = make(chan struct{}, 1)
 	t.joins = &p.joins
 	helpers := want - 1
@@ -217,7 +230,6 @@ var defaultPool struct {
 // is created on first use, sized to runtime.GOMAXPROCS(0), and never
 // closed.
 func Default() *Pool {
-	//parconn:allow blockingcall one-time lazy init; Do is an uncontended atomic load after the first call
 	defaultPool.once.Do(func() {
 		defaultPool.p = NewPool(runtime.GOMAXPROCS(0))
 	})

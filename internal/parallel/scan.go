@@ -11,6 +11,117 @@ func scanSerial[T Number](out, xs []T) T {
 	return acc
 }
 
+// blockCount is the number of blocks the scan and pack bodies cut an
+// n-element input into: one (the serial path) for a single worker or under
+// two grains of input, otherwise four per worker, each of at least
+// DefaultGrain elements.
+func blockCount(procs, n int) int {
+	procs = Procs(procs)
+	if procs == 1 || n < 2*DefaultGrain {
+		return 1
+	}
+	return min(4*procs, n/DefaultGrain)
+}
+
+// blockRange returns block b's half-open range of [0,n) cut into nblocks.
+func blockRange(n, nblocks, b int) (lo, hi int) {
+	return n * b / nblocks, n * (b + 1) / nblocks
+}
+
+// Scan is the one prefix-sum body behind ExScan, ExScanInto and InScan. It
+// cuts its input into blockCount blocks; one pass sums every block, a serial
+// scan turns the block sums into block offsets, and a second pass rescans
+// every block from its offset. Both passes are dispatched one block per
+// claim on the caller's pool, so they fork whenever it has a second worker.
+//
+// The zero Scan is ready to use, and it must not be copied after first use.
+// Keeping one across calls, as the contraction machine does, binds its two
+// block bodies and its block-sum array once, so a warm call allocates
+// nothing beyond the pool's per-section cost. A Scan serves one call at a
+// time.
+type Scan[T Number] struct {
+	dst, src, sums []T
+	inclusive      bool
+	fnSum, fnApply func(lo, hi int)
+}
+
+// Exclusive writes the exclusive prefix sum of src into dst (which may alias
+// src) on pool p and returns the total: afterwards dst[i] holds the sum of
+// src[0..i).
+func (s *Scan[T]) Exclusive(p *Pool, procs int, dst, src []T) T {
+	if len(dst) != len(src) {
+		panic("parallel: ExScanInto length mismatch")
+	}
+	return s.run(p, procs, dst, src, false)
+}
+
+// Inclusive replaces xs by its inclusive prefix sum on pool p and returns the
+// total: afterwards xs[i] holds the sum of the original xs[0..i].
+func (s *Scan[T]) Inclusive(p *Pool, procs int, xs []T) T {
+	return s.run(p, procs, xs, xs, true)
+}
+
+func (s *Scan[T]) run(p *Pool, procs int, dst, src []T, inclusive bool) T {
+	nblocks := blockCount(procs, len(src))
+	if nblocks == 1 {
+		if !inclusive {
+			return scanSerial(dst, src)
+		}
+		var acc T
+		for i, v := range src {
+			acc += v
+			dst[i] = acc
+		}
+		return acc
+	}
+	if s.fnSum == nil {
+		s.bind()
+	}
+	if cap(s.sums) < nblocks {
+		s.sums = make([]T, nblocks)
+	}
+	s.sums = s.sums[:nblocks]
+	s.dst, s.src, s.inclusive = dst, src, inclusive
+	p.Blocks(procs, nblocks, 1, s.fnSum)
+	total := scanSerial(s.sums, s.sums)
+	p.Blocks(procs, nblocks, 1, s.fnApply)
+	s.dst, s.src = nil, nil
+	return total
+}
+
+// bind binds the two block bodies, which read each call's state from s.
+func (s *Scan[T]) bind() {
+	s.fnSum = func(lo, hi int) {
+		for b := lo; b < hi; b++ {
+			l, h := blockRange(len(s.src), len(s.sums), b)
+			var acc T
+			for _, v := range s.src[l:h] {
+				acc += v
+			}
+			s.sums[b] = acc
+		}
+	}
+	s.fnApply = func(lo, hi int) {
+		src, dst := s.src, s.dst
+		for b := lo; b < hi; b++ {
+			l, h := blockRange(len(src), len(s.sums), b)
+			acc := s.sums[b]
+			if s.inclusive {
+				for i := l; i < h; i++ {
+					acc += src[i]
+					dst[i] = acc
+				}
+				continue
+			}
+			for i := l; i < h; i++ {
+				v := src[i]
+				dst[i] = acc
+				acc += v
+			}
+		}
+	}
+}
+
 // ExScan computes the exclusive prefix sum of xs in place and returns the
 // total: afterwards xs[i] holds the sum of the original xs[0..i). This is the
 // "plus-scan" used throughout the paper's implementation for computing
@@ -20,84 +131,15 @@ func ExScan[T Number](procs int, xs []T) T {
 }
 
 // ExScanInto computes the exclusive prefix sum of src into dst (which may
-// alias src) and returns the total.
+// alias src) on the default pool and returns the total.
 func ExScanInto[T Number](procs int, dst, src []T) T {
-	n := len(src)
-	if len(dst) != n {
-		panic("parallel: ExScanInto length mismatch")
-	}
-	procs = Procs(procs)
-	if procs == 1 || n < 2*DefaultGrain {
-		return scanSerial(dst, src)
-	}
-	nblocks := procs * 4
-	if nblocks > (n+DefaultGrain-1)/DefaultGrain {
-		nblocks = (n + DefaultGrain - 1) / DefaultGrain
-	}
-	blockOf := func(b int) (int, int) {
-		return n * b / nblocks, n * (b + 1) / nblocks
-	}
-	//parconn:allow hotalloc per-scan block-sum array sized by procs; budgeted scan scratch
-	sums := make([]T, nblocks)
-	For(procs, nblocks, func(b int) {
-		lo, hi := blockOf(b)
-		var s T
-		for _, v := range src[lo:hi] {
-			s += v
-		}
-		sums[b] = s
-	})
-	total := scanSerial(sums, sums)
-	For(procs, nblocks, func(b int) {
-		lo, hi := blockOf(b)
-		acc := sums[b]
-		for i := lo; i < hi; i++ {
-			v := src[i]
-			dst[i] = acc
-			acc += v
-		}
-	})
-	return total
+	var s Scan[T]
+	return s.Exclusive(Default(), procs, dst, src)
 }
 
-// InScan computes the inclusive prefix sum of xs in place: afterwards xs[i]
-// holds the sum of the original xs[0..i].
+// InScan computes the inclusive prefix sum of xs in place on the default
+// pool: afterwards xs[i] holds the sum of the original xs[0..i].
 func InScan[T Number](procs int, xs []T) T {
-	n := len(xs)
-	if n == 0 {
-		var zero T
-		return zero
-	}
-	procs = Procs(procs)
-	if procs == 1 || n < 2*DefaultGrain {
-		var acc T
-		for i, v := range xs {
-			acc += v
-			xs[i] = acc
-		}
-		return acc
-	}
-	nblocks := procs * 4
-	blockOf := func(b int) (int, int) {
-		return n * b / nblocks, n * (b + 1) / nblocks
-	}
-	sums := make([]T, nblocks)
-	For(procs, nblocks, func(b int) {
-		lo, hi := blockOf(b)
-		var s T
-		for _, v := range xs[lo:hi] {
-			s += v
-		}
-		sums[b] = s
-	})
-	total := scanSerial(sums, sums)
-	For(procs, nblocks, func(b int) {
-		lo, hi := blockOf(b)
-		acc := sums[b]
-		for i := lo; i < hi; i++ {
-			acc += xs[i]
-			xs[i] = acc
-		}
-	})
-	return total
+	var s Scan[T]
+	return s.Inclusive(Default(), procs, xs)
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"parconn/internal/obs"
 )
 
 var decompAlgorithms = []Algorithm{DecompArbHybrid, DecompArb, DecompMin}
@@ -242,5 +244,43 @@ func TestReadBinaryGraphRejectsCorruption(t *testing.T) {
 	}
 	if _, err := ReadBinaryGraph(bytes.NewReader(good[:len(good)-2])); err == nil {
 		t.Fatal("truncated graph accepted")
+	}
+}
+
+// TestContractHashedPairs checks that the contraction's dedup choice shows
+// in the trace: a line's level-0 pairs are nearly all distinct, so its
+// sample skips the hash pre-pass, while a duplicate-keeping rMat repeats
+// its level-0 pairs heavily and hashes every one of them.
+func TestContractHashedPairs(t *testing.T) {
+	level0 := func(g *Graph) (hashed, cut int64) {
+		t.Helper()
+		tr := NewTrace()
+		if _, err := ConnectedComponents(g, Options{Algorithm: DecompArbHybrid, Procs: 2, Seed: 42, Recorder: tr}); err != nil {
+			t.Fatal(err)
+		}
+		hashed = -1
+		for _, e := range tr.Events() {
+			switch v := e.V.(type) {
+			case obs.Counter:
+				if v.Name == obs.CounterHashedPairs && hashed < 0 {
+					hashed = v.Value
+				}
+			case obs.LevelEnd:
+				if v.Level == 0 {
+					if hashed < 0 {
+						t.Fatal("level 0 contracted without a hashed-pairs counter")
+					}
+					return hashed, v.EdgesCut
+				}
+			}
+		}
+		t.Fatal("no level_end for level 0")
+		return 0, 0
+	}
+	if hashed, cut := level0(LineGraph(200_000, 1)); hashed != 0 || cut == 0 {
+		t.Errorf("line: level 0 hashed %d of %d pairs, want 0", hashed, cut)
+	}
+	if hashed, cut := level0(benchRMat()); hashed != cut || cut == 0 {
+		t.Errorf("rMat: level 0 hashed %d of %d pairs, want all", hashed, cut)
 	}
 }
