@@ -3,6 +3,7 @@ package parconn
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -56,6 +57,18 @@ type Incremental struct {
 	// exclusively. The optimistic snapshot path never touches it.
 	mu   sync.RWMutex
 	snap atomic.Pointer[IncrementalSnapshot] // latest published snapshot (epoch-monotone)
+
+	// logs holds one log per Compact in progress: Insert appends each batch
+	// to all of them, so every Compact's swap can replay the batches its
+	// relabeling missed. Changed under mu held exclusively, read under mu
+	// held shared.
+	logs []*insertLog
+}
+
+// insertLog collects the batches Insert applies while one Compact relabels.
+type insertLog struct {
+	mu    sync.Mutex
+	edges []Edge
 }
 
 // IncrementalSnapshot is one consistent view of an Incremental: a canonical
@@ -166,6 +179,13 @@ func (inc *Incremental) Insert(edges []Edge) (merged int, err error) {
 	// generation.
 	inc.components.Add(-int64(merged))
 	inc.edges.Add(int64(len(edges)))
+	// Logged under the shared lock, so a Compact's swap (which holds it
+	// exclusively) sees every batch that missed its relabeling.
+	for _, log := range inc.logs {
+		log.mu.Lock()
+		log.edges = append(log.edges, edges...)
+		log.mu.Unlock()
+	}
 	inc.applied.Add(1)
 	inc.writers.Add(-1)
 	inc.mu.RUnlock()
@@ -279,33 +299,56 @@ func (inc *Incremental) publish(s *IncrementalSnapshot) {
 // existing parallel worker pool) and re-seeds the structure from the fresh
 // answer array, collapsing every union-find path accumulated by inserts.
 // This is also how deletions are handled — rebuild g without the deleted
-// edges and Compact. g must cover the same vertex set. Concurrent queries
-// keep answering throughout (against the old structure until the swap);
-// concurrent Inserts are excluded only for the brief swap itself, not for
-// the relabeling run.
+// edges and Compact. g must cover the same vertex set and every edge
+// inserted before the call. Concurrent queries keep answering throughout
+// (against the old structure until the swap); concurrent Inserts are
+// excluded only for the brief swap itself, not for the relabeling run.
+// Batches inserted from the start of the call are logged and replayed onto
+// the fresh structure during the swap, so none is lost; they are what
+// Edges counts afterwards. Compact calls may overlap: each logs and
+// replays on its own, and each swap leaves every batch in place.
 func (inc *Incremental) Compact(g *Graph, opt Options) error {
 	if g.NumVertices() != inc.n {
 		return fmt.Errorf("parconn: Compact graph has %d vertices, Incremental has %d", g.NumVertices(), inc.n)
 	}
+	// Installing the log under the write lock waits out in-flight batches:
+	// every later batch is logged.
+	log := &insertLog{}
+	inc.mu.Lock()
+	inc.logs = append(inc.logs, log)
+	inc.mu.Unlock()
+
 	labels, err := ConnectedComponents(g, opt)
-	if err != nil {
-		return err
-	}
-	uf, err := unionfind.NewConcurrentFromLabels(labels)
-	if err != nil {
-		return err // unreachable: ConnectedComponents returns canonical labelings
+	var uf *unionfind.Concurrent
+	if err == nil {
+		// Its error is unreachable: ConnectedComponents returns canonical
+		// labelings.
+		uf, err = unionfind.NewConcurrentFromLabels(labels)
 	}
 	comps := NumComponents(labels)
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
+	inc.logs = slices.DeleteFunc(inc.logs, func(l *insertLog) bool { return l == log })
+	if err != nil {
+		return err
+	}
+	merged := 0
+	for _, e := range log.edges {
+		if e.U != e.V && uf.Union(e.U, e.V) {
+			merged++
+		}
+	}
 	// Flagging a writer keeps any in-flight optimistic scan from validating
 	// against a half-swapped state.
 	inc.writers.Add(1)
 	inc.uf.Store(uf)
-	inc.components.Store(int64(comps))
-	inc.edges.Store(0)
+	inc.components.Store(int64(comps - merged))
+	inc.edges.Store(int64(len(log.edges)))
 	epoch := inc.applied.Add(1)
 	inc.writers.Add(-1)
-	inc.snap.Store(&IncrementalSnapshot{Labels: labels, Epoch: epoch, Components: comps})
+	if merged > 0 {
+		labels = inc.scan()
+	}
+	inc.snap.Store(&IncrementalSnapshot{Labels: labels, Epoch: epoch, Components: comps - merged, Edges: int64(len(log.edges))})
 	return nil
 }

@@ -1,9 +1,14 @@
 package parconn
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
+
+	"parconn/internal/graph"
+	"parconn/internal/prand"
 )
 
 // This file is the concurrency stress suite for Incremental, written to run
@@ -287,5 +292,168 @@ func TestIncrementalCompactUnderLoad(t *testing.T) {
 	wg.Wait()
 	if err := VerifyLabeling(g, inc.Labels()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// compactInserter is a Recorder that calls onStart when a run starts, so a
+// test can insert edges while Compact is relabeling.
+type compactInserter struct {
+	*Trace
+	onStart func()
+}
+
+func (r compactInserter) RunStart(e RunStart) {
+	r.Trace.RunStart(e)
+	r.onStart()
+}
+
+// TestIncrementalCompactKeepsConcurrentInserts inserts new edges, none of
+// them in the graph Compact relabels, while Compact runs: one batch from
+// inside the relabeling run itself and more from racing writers. None may
+// be lost, so the final partition must equal a from-scratch run over the
+// graph plus every inserted edge.
+func TestIncrementalCompactKeepsConcurrentInserts(t *testing.T) {
+	const n, rounds, writers, batches = 1024, 4, 2, 20
+	all := chainEdges(n) // then every edge inserted so far
+	g := buildGraph(t, n, all)
+	inc := seedIncremental(t, g)
+	newEdge := func(i int) Edge { return crossEdge(n, i) }
+	next := 0
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		inserted := make([][]Edge, writers+1)
+		first := next
+		next += (writers + 1) * batches * 4
+		rec := compactInserter{Trace: NewTrace(), onStart: func() {
+			// One batch certainly lands mid-relabel.
+			batch := []Edge{newEdge(first), newEdge(first + 1)}
+			if _, err := inc.Insert(batch); err != nil {
+				t.Error(err)
+			}
+			inserted[writers] = batch
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for b := 0; b < batches; b++ {
+						base := first + 2 + (w*batches+b)*4
+						batch := []Edge{newEdge(base), newEdge(base + 1), newEdge(base + 2)}
+						if _, err := inc.Insert(batch); err != nil {
+							t.Error(err)
+							return
+						}
+						inserted[w] = append(inserted[w], batch...)
+					}
+				}(w)
+			}
+		}}
+		if err := inc.Compact(g, Options{Seed: uint64(round + 2), Recorder: rec}); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		for _, es := range inserted {
+			all = append(all, es...)
+		}
+		g = buildGraph(t, n, all)
+		checkPartition(t, fmt.Sprintf("round %d", round), inc, g)
+	}
+}
+
+// TestIncrementalOverlappingCompacts starts a second Compact while the
+// first relabels, and inserts new edges once both are relabeling. Neither
+// swap may drop them, whichever comes last.
+func TestIncrementalOverlappingCompacts(t *testing.T) {
+	const n = 1024
+	g := buildGraph(t, n, chainEdges(n))
+	inc := seedIncremental(t, g)
+	batch := []Edge{crossEdge(n, 0), crossEdge(n, 1), crossEdge(n, 2)}
+
+	var second sync.WaitGroup
+	var secondErr error
+	secondStarted := make(chan struct{})
+	first := compactInserter{Trace: NewTrace(), onStart: func() {
+		second.Add(1)
+		go func() {
+			defer second.Done()
+			rec := compactInserter{Trace: NewTrace(), onStart: func() { close(secondStarted) }}
+			secondErr = inc.Compact(g, Options{Seed: 3, Recorder: rec})
+		}()
+		select {
+		case <-secondStarted:
+		case <-time.After(10 * time.Second):
+			t.Error("the second Compact did not start relabeling while the first relabeled")
+			return
+		}
+		if _, err := inc.Insert(batch); err != nil {
+			t.Error(err)
+		}
+	}}
+	if err := inc.Compact(g, Options{Seed: 2, Recorder: first}); err != nil {
+		t.Fatal(err)
+	}
+	second.Wait()
+	if secondErr != nil {
+		t.Fatal(secondErr)
+	}
+	checkPartition(t, "after both Compacts", inc, buildGraph(t, n, append(chainEdges(n), batch...)))
+}
+
+// chainEdges returns the edges of n/4 disjoint paths of 4 vertices.
+func chainEdges(n int32) []Edge {
+	var edges []Edge
+	for v := int32(0); v < n; v++ {
+		if v%4 != 0 {
+			edges = append(edges, Edge{U: v - 1, V: v})
+		}
+	}
+	return edges
+}
+
+// crossEdge returns the i'th pseudo-random edge from the start of one
+// path of chainEdges(n) to the end of another, so never one of its edges.
+func crossEdge(n int32, i int) Edge {
+	u := int32(prand.Hash64(uint64(i)) % uint64(n/4) * 4)
+	v := int32(prand.Hash64(uint64(i)+1<<32) % uint64(n/4) * 4)
+	return Edge{U: u, V: v + 3}
+}
+
+func buildGraph(t *testing.T, n int32, edges []Edge) *Graph {
+	t.Helper()
+	g, err := NewGraph(int(n), edges, BuildOptions{KeepDuplicates: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// seedIncremental returns an Incremental seeded from g's labeling.
+func seedIncremental(t *testing.T, g *Graph) *Incremental {
+	t.Helper()
+	labels, err := ConnectedComponents(g, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := NewIncrementalFromLabels(labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inc
+}
+
+// checkPartition fails unless inc's snapshot has g's partition and
+// component count, as a from-scratch run finds them.
+func checkPartition(t *testing.T, when string, inc *Incremental, g *Graph) {
+	t.Helper()
+	want, err := ConnectedComponents(g, Options{Algorithm: SerialSF})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := inc.Snapshot()
+	if !graph.SamePartition(want, snap.Labels) {
+		t.Fatalf("%s: partition differs from a from-scratch run (%d components, want %d)",
+			when, snap.Components, NumComponents(want))
+	}
+	if snap.Components != NumComponents(want) {
+		t.Fatalf("%s: snapshot counts %d components, want %d", when, snap.Components, NumComponents(want))
 	}
 }

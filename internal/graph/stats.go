@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"parconn/internal/prand"
@@ -99,22 +101,40 @@ type ComponentSize struct {
 // components and the k largest (size descending, ties by ascending label,
 // so the answer is deterministic). k <= 0 returns every component, sorted.
 // This is the shared read side of a published labeling: cmd/connect's
-// report and cmd/connserve's /v1/stats both render it.
+// report renders it.
 func ComponentSummary(labels []int32, k int) (count int, top []ComponentSize) {
 	sizes := ComponentSizesOf(labels)
-	count = len(sizes)
-	top = make([]ComponentSize, 0, count)
+	top = make([]ComponentSize, 0, len(sizes))
 	for l, s := range sizes {
 		top = append(top, ComponentSize{Label: l, Size: s})
 	}
-	sort.Slice(top, func(i, j int) bool {
-		if top[i].Size != top[j].Size {
-			return top[i].Size > top[j].Size
+	return len(sizes), largest(top, k)
+}
+
+// SizeSummary is ComponentSummary over sizes, the component size per label
+// (0 for a label that names no component), as a server indexes a
+// labeling whose labels are vertex ids.
+func SizeSummary(sizes []int32, k int) (count int, top []ComponentSize) {
+	top = []ComponentSize{}
+	for l, s := range sizes {
+		if s > 0 {
+			top = append(top, ComponentSize{Label: int32(l), Size: int(s)})
 		}
-		return top[i].Label < top[j].Label
+	}
+	return len(top), largest(top, k)
+}
+
+// largest sorts top by size descending, ties by ascending label, and
+// truncates it to k entries when k > 0.
+func largest(top []ComponentSize, k int) []ComponentSize {
+	slices.SortFunc(top, func(a, b ComponentSize) int {
+		if c := cmp.Compare(b.Size, a.Size); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Label, b.Label)
 	})
 	if k > 0 && len(top) > k {
 		top = top[:k]
 	}
-	return count, top
+	return top
 }

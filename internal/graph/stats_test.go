@@ -173,4 +173,15 @@ func TestComponentSummary(t *testing.T) {
 	if c, top := ComponentSummary(nil, 3); c != 0 || len(top) != 0 {
 		t.Fatalf("empty labeling: %d %+v", c, top)
 	}
+	// SizeSummary ranks the same components from a size per label.
+	sizes := make([]int32, 10)
+	for _, l := range labels {
+		sizes[l]++
+	}
+	if c, top := SizeSummary(sizes, 2); c != 4 || len(top) != 2 || top[0] != want[0] || top[1] != want[1] {
+		t.Fatalf("SizeSummary = %d, %+v want 4, %+v", c, top, want)
+	}
+	if c, top := SizeSummary(nil, 3); c != 0 || top == nil || len(top) != 0 {
+		t.Fatalf("no sizes: %d %#v, want 0 and an empty list", c, top)
+	}
 }

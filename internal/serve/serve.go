@@ -15,20 +15,22 @@
 //	GET  /v1/same?u=ID&v=ID      whether two vertices share a component
 //	POST /v1/batch               body [[u,v],...]: same-component per pair
 //	POST /v1/insert              body [[u,v],...]: insert an edge batch into
-//	                             the incremental layer and republish the
-//	                             labeling (EnableIncremental servers only)
+//	                             the incremental layer and publish the next
+//	                             epoch (EnableIncremental servers only)
 //	GET  /v1/stats               graph/labeling summary: component count,
 //	                             size histogram, top-k sizes
 //	GET  /v1/healthz             200 once the labeling is published, 503
 //	                             while loading
 //
-// A server with EnableIncremental attached is no longer read-only: each
-// accepted /v1/insert batch applies lock-free unions in the
-// parconn.Incremental layer, takes a consistent snapshot, and republishes
-// it through the same atomic-pointer path — queries keep reading an
-// immutable labeling, writers only ever swap in a newer one (epochs are
-// monotone, so two racing inserts can never publish an older labeling over
-// a newer one).
+// A server with EnableIncremental attached is no longer read-only. Each
+// published epoch is an immutable header (epoch, edge count) pointing at an
+// immutable view: the labeling and its component sizes, so a read is an
+// array load. /v1/insert batches are applied one at a time under the
+// server's insert mutex. A batch that merges nothing publishes a copy of
+// the header that shares the view, in O(batch); a merging batch takes one
+// parconn.Incremental snapshot and indexes it as a new view, in O(n).
+// /v1/stats derives its top-k and size histogram from the view on first
+// use, once per view, so no insert pays for them.
 package serve
 
 import (
@@ -36,6 +38,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -74,8 +77,10 @@ type Config struct {
 }
 
 // Labeling is the immutable artifact a Server publishes: the answer array
-// plus the metadata /v1/stats reports. Labels must not be mutated after
-// Publish — every request goroutine reads it without synchronization.
+// plus the metadata /v1/stats reports. Every label must be a vertex id, as
+// in the canonical labelings ConnectedComponents returns. Labels must not
+// be mutated after Publish — every request goroutine reads it without
+// synchronization.
 type Labeling struct {
 	Labels    []int32
 	Edges     int64         // undirected edge count of the labeled graph
@@ -85,27 +90,31 @@ type Labeling struct {
 	LabelTime time.Duration // connectivity computation time
 }
 
-// published is the precomputed read-side state derived from one Labeling.
+// published is one epoch of the read-side state: its header, and the view
+// that answers its queries. Nothing in it is written after the Store that
+// publishes it.
 type published struct {
-	lab        Labeling
-	epoch      uint64 // incremental generation (0 for a Publish-ed labeling)
-	components int
-	sizes      map[int32]int // label -> component size
-	top        []graph.ComponentSize
-	sizeHist   obs.HistogramSnapshot // component sizes, log2 buckets
-	since      time.Time
+	lab   Labeling // metadata only: Labels is nil, the view holds them
+	epoch uint64   // incremental generation (0 for a Publish-ed labeling)
+	since time.Time
+	view  *view
 }
 
 // Server answers connectivity queries over a published Labeling. Create
 // with New, mount Handler, then Publish the labeling when it is ready.
-// EnableIncremental additionally activates /v1/insert, which mutates the
-// labeling through a parconn.Incremental and republishes.
+// EnableIncremental additionally activates /v1/insert, which applies edge
+// batches to a parconn.Incremental and publishes one epoch per batch.
 type Server struct {
 	cfg     Config
 	pub     atomic.Pointer[published]
 	inc     atomic.Pointer[parconn.Incremental]
 	incBase atomic.Int64 // Labeling.Edges at EnableIncremental time
 	obs     *Observer    // nil = uninstrumented
+
+	// insertMu orders the writers of pub: each insert derives its epoch
+	// from the one before, and Publish must not be overwritten by an
+	// insert that started earlier.
+	insertMu sync.Mutex
 }
 
 // New returns a Server that is not yet ready: queries answer 503 until
@@ -124,31 +133,21 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// newPublished precomputes the read-side state of one labeling.
-func (s *Server) newPublished(lab Labeling, epoch uint64) *published {
-	count, top := graph.ComponentSummary(lab.Labels, s.cfg.TopK)
-	sizes := graph.ComponentSizesOf(lab.Labels)
-	var hist obs.Histogram
-	for _, sz := range sizes {
-		hist.Record(int64(sz))
-	}
-	return &published{
-		lab:        lab,
-		epoch:      epoch,
-		components: count,
-		sizes:      sizes,
-		top:        top,
-		sizeHist:   hist.Snapshot(),
-		since:      time.Now(), //parconn:allow norand uptime stopwatch for /v1/stats; no algorithmic randomness
-	}
-}
-
-// Publish computes the stats view of lab and flips the server ready. The
+// Publish makes lab the served labeling and flips the server ready. The
 // labeling is shared immutably from here on; callers must not write to
 // lab.Labels afterwards. Publishing again replaces the labeling atomically
-// (in-flight requests finish against whichever version they loaded).
+// (in-flight requests finish against whichever version they loaded). The
+// /v1/stats summary is computed on its first request.
 func (s *Server) Publish(lab Labeling) {
-	s.pub.Store(s.newPublished(lab, 0))
+	p := &published{
+		view:  newView(lab.Labels),
+		since: time.Now(), //parconn:allow norand uptime stopwatch for /v1/stats; no algorithmic randomness
+	}
+	lab.Labels = nil
+	p.lab = lab
+	s.insertMu.Lock()
+	s.pub.Store(p)
+	s.insertMu.Unlock()
 }
 
 // Ready reports whether a labeling has been published.
@@ -157,7 +156,9 @@ func (s *Server) Ready() bool { return s.pub.Load() != nil }
 // EnableIncremental attaches the mutable connectivity layer behind
 // /v1/insert. Call it after Publish-ing the labeling inc was seeded from:
 // the current labeling's edge count becomes the base that insert batches
-// add to. Until this is called, /v1/insert answers 501.
+// add to. Once attached, the server must be inc's only writer, since a
+// batch that merges nothing keeps the published labeling: no Insert or
+// Compact from elsewhere. Until this is called, /v1/insert answers 501.
 func (s *Server) EnableIncremental(inc *parconn.Incremental) {
 	if p := s.pub.Load(); p != nil {
 		s.incBase.Store(p.lab.Edges)
@@ -165,28 +166,28 @@ func (s *Server) EnableIncremental(inc *parconn.Incremental) {
 	s.inc.Store(inc)
 }
 
-// republish swaps in the read-side state of one incremental snapshot,
-// keeping the published epoch monotone: two racing inserts republish in
-// some order, but a reader can never observe the labeling move backwards.
-// The stats view is computed once, outside the CAS loop.
-func (s *Server) republish(snap *parconn.IncrementalSnapshot) {
-	var np *published
-	for {
-		p := s.pub.Load()
-		if p == nil || p.epoch >= snap.Epoch {
-			return
-		}
-		if np == nil {
-			lab := p.lab
-			lab.Labels = snap.Labels
-			lab.Edges = s.incBase.Load() + snap.Edges
-			np = s.newPublished(lab, snap.Epoch)
-		}
-		if s.pub.CompareAndSwap(p, np) {
-			return
-		}
-		np = nil // a racing publish won; rebuild against the fresh state
+// insert applies one validated batch to inc and publishes the epoch it
+// produces, returning the count of merges and that epoch. Inserts run one
+// at a time, so inc has no other writer and the epoch after the batch is
+// derived from the one before: a copy of the header when nothing merged,
+// a new view of inc's snapshot when something did.
+func (s *Server) insert(inc *parconn.Incremental, edges []parconn.Edge) (int, *published, error) {
+	s.insertMu.Lock()
+	defer s.insertMu.Unlock()
+	p := s.pub.Load()
+	merged, err := inc.Insert(edges)
+	if err != nil || inc.Epoch() == p.epoch {
+		return merged, p, err // rejected, or an empty batch: nothing applied
 	}
+	np := *p
+	np.epoch = inc.Epoch()
+	np.lab.Edges = s.incBase.Load() + inc.Edges()
+	np.since = time.Now() //parconn:allow norand uptime stopwatch for /v1/stats; no algorithmic randomness
+	if merged > 0 {
+		np.view = newView(inc.Snapshot().Labels)
+	}
+	s.pub.Store(&np)
+	return merged, &np, nil
 }
 
 // Handler returns the /v1 mux. Mount it on the command's root mux,
@@ -289,12 +290,12 @@ func (s *Server) serveComponent(w http.ResponseWriter, r *http.Request) {
 	if p == nil {
 		return
 	}
-	v, ok := vertexParam(w, r, "v", len(p.lab.Labels))
+	v, ok := vertexParam(w, r, "v", len(p.view.labels))
 	if !ok {
 		return
 	}
-	label := p.lab.Labels[v]
-	writeJSON(w, http.StatusOK, componentResponse{V: v, Component: label, Size: p.sizes[label]})
+	label, size := p.view.component(v)
+	writeJSON(w, http.StatusOK, componentResponse{V: v, Component: label, Size: int(size)})
 }
 
 // sameResponse answers /v1/same.
@@ -312,15 +313,15 @@ func (s *Server) serveSame(w http.ResponseWriter, r *http.Request) {
 	if p == nil {
 		return
 	}
-	u, ok := vertexParam(w, r, "u", len(p.lab.Labels))
+	u, ok := vertexParam(w, r, "u", len(p.view.labels))
 	if !ok {
 		return
 	}
-	v, ok := vertexParam(w, r, "v", len(p.lab.Labels))
+	v, ok := vertexParam(w, r, "v", len(p.view.labels))
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, sameResponse{U: u, V: v, Same: p.lab.Labels[u] == p.lab.Labels[v]})
+	writeJSON(w, http.StatusOK, sameResponse{U: u, V: v, Same: p.view.labels[u] == p.view.labels[v]})
 }
 
 // batchResponse answers /v1/batch: Same[i] corresponds to request pair i.
@@ -348,7 +349,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	annotateBatch(r.Context(), len(pairs))
-	n := int64(len(p.lab.Labels))
+	n := int64(len(p.view.labels))
 	same := make([]bool, len(pairs))
 	for i, pr := range pairs {
 		u, v := pr[0], pr[1]
@@ -356,14 +357,14 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, "pair %d: vertex outside [0, %d)", i, n)
 			return
 		}
-		same[i] = p.lab.Labels[u] == p.lab.Labels[v]
+		same[i] = p.view.labels[u] == p.view.labels[v]
 	}
 	writeJSON(w, http.StatusOK, batchResponse{Count: len(same), Same: same})
 }
 
 // insertResponse answers /v1/insert: how many edges the batch carried, how
-// many merged two components, and the generation + component count after
-// the batch (from the consistent snapshot the republished labeling uses).
+// many merged two components, and the generation + component count of the
+// epoch the batch published.
 type insertResponse struct {
 	Inserted   int    `json:"inserted"`
 	Merged     int    `json:"merged"`
@@ -403,20 +404,18 @@ func (s *Server) serveInsert(w http.ResponseWriter, r *http.Request) {
 		}
 		edges[i] = parconn.Edge{U: int32(pr[0]), V: int32(pr[1])}
 	}
-	merged, err := inc.Insert(edges)
+	merged, p, err := s.insert(inc, edges)
 	if err != nil {
 		// Unreachable after the range check above, but never 500 on input.
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	snap := inc.Snapshot()
-	s.republish(snap)
-	annotateEpoch(r.Context(), snap.Epoch)
+	annotateEpoch(r.Context(), p.epoch)
 	writeJSON(w, http.StatusOK, insertResponse{
 		Inserted:   len(edges),
 		Merged:     merged,
-		Epoch:      snap.Epoch,
-		Components: snap.Components,
+		Epoch:      p.epoch,
+		Components: p.view.components,
 	})
 }
 
@@ -443,18 +442,19 @@ func (s *Server) serveStats(w http.ResponseWriter, r *http.Request) {
 	if p == nil {
 		return
 	}
+	st := p.view.statsFor(s.cfg.TopK)
 	writeJSON(w, http.StatusOK, statsResponse{
-		Vertices:      len(p.lab.Labels),
+		Vertices:      len(p.view.labels),
 		Edges:         p.lab.Edges,
-		Components:    p.components,
+		Components:    p.view.components,
 		Epoch:         p.epoch,
 		Algorithm:     p.lab.Algorithm,
 		Source:        p.lab.Source,
 		LoadMS:        float64(p.lab.LoadTime.Microseconds()) / 1000,
 		LabelMS:       float64(p.lab.LabelTime.Microseconds()) / 1000,
 		UptimeSec:     time.Since(p.since).Seconds(),
-		TopComponents: p.top,
-		SizeHistogram: p.sizeHist,
+		TopComponents: st.top,
+		SizeHistogram: st.hist,
 	})
 }
 
