@@ -110,9 +110,10 @@ func BenchmarkCCAllocs(b *testing.B) {
 // tuner's timing-driven grain choices. So the test subtracts that fixed
 // cost per counted section and pins the rest: the result labels plus the
 // bodies and scratch that are bound or grown once per machine. The
-// ceilings are the counts measured on a 2-CPU host once contraction ran
-// its pack, scans and radix sort on the run's pool through bound bodies;
-// a host with one CPU forks nothing and stays below. The same inputs at
+// ceilings are the counts measured on a 2-CPU host once level entry (the
+// working-graph copy, the decomposition's entry pass and fills) also ran
+// on the run's pool through bound bodies: only the result labels remain.
+// A host with one CPU forks nothing and stays below. The same inputs at
 // procs=1 must allocate only the labels.
 func TestCCAllocsProcs2(t *testing.T) {
 	if testing.Short() {
@@ -124,10 +125,10 @@ func TestCCAllocsProcs2(t *testing.T) {
 		alg   Algorithm
 		max   uint64
 	}{
-		{"rMat", DecompArbHybrid, 5},
-		{"rMat", DecompArb, 4},
-		{"random", DecompArbHybrid, 5},
-		{"random", DecompArb, 4},
+		{"rMat", DecompArbHybrid, 1},
+		{"rMat", DecompArb, 1},
+		{"random", DecompArbHybrid, 1},
+		{"random", DecompArb, 1},
 	}
 	for _, c := range ceilings {
 		opt := Options{Algorithm: c.alg, Seed: 42, Procs: 2}

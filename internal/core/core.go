@@ -358,7 +358,7 @@ func CC(g *graph.Graph, opt Options) ([]int32, error) {
 		reused0, alloc0 = m.ws.Stats()
 	}
 	w := &m.levels[0]
-	w.InitFrom(m.ws, g, m.procs)
+	m.scratch.InitWGraph(w, m.pool, m.ws, g, m.procs)
 	if rec != nil {
 		rec.Phase(obs.Phase{Level: 0, Name: obs.PhaseSetup, Duration: time.Since(tSetup)})
 	}

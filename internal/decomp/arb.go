@@ -154,18 +154,18 @@ func (m *arbMachine) run(g *WGraph, opt Options) Result {
 	m.liveOut.Reset()
 
 	c := ws.Int32(n)
-	parallel.Fill(procs, c, unvisited)
 	var parents []int32
 	if opt.WantParents {
 		// Parents are a rarely-requested result handed to the caller;
-		// plain allocation keeps their ownership out of the arena.
+		// plain allocation keeps their ownership out of the arena. The
+		// entry pass fills them with c.
 		//parconn:allow hotalloc rarely-requested caller-owned result, deliberately outside the arena
 		parents = make([]int32, n)
-		parallel.Fill(procs, parents, unvisited)
 	}
 	m.c, m.parents = c, parents
-	sh := m.draw.newShifts(pool, n, opt.Beta, opt.Seed, procs, ws)
+	sh := m.draw.newShifts(pool, entry{deg: g.Deg, c: c, parents: parents}, opt.Beta, opt.Seed, procs, ws)
 	m.perm = sh.order
+	live := sh.live()
 	// Double-buffered frontier: cur = bufs[curBuf][:curN]; the next frontier
 	// accumulates in the other buffer through an atomic cursor.
 	var bufs [2][]int32
@@ -177,10 +177,10 @@ func (m *arbMachine) run(g *WGraph, opt Options) Result {
 	var phPre, phMain time.Duration
 	var prevRetries, retryDelta int64
 	permPtr, visited, round := 0, 0, 0
-	numCenters, workRounds := 0, 0
-	for visited < n {
+	numCenters, workRounds := sh.settle(rec, opt.Level)
+	for visited < live {
 		tPre := now()
-		if curN == 0 && permPtr < n {
+		if curN == 0 && permPtr < live {
 			round = sh.fastForward(round, permPtr)
 		}
 		end := sh.end(round)
@@ -198,7 +198,7 @@ func (m *arbMachine) run(g *WGraph, opt Options) Result {
 		dPre := time.Since(tPre)
 		phPre += dPre
 		if curN == 0 {
-			if permPtr >= n {
+			if permPtr >= live {
 				break // all vertices visited; loop condition ends next check
 			}
 			// The chunk just scanned was entirely already-visited; advance

@@ -173,10 +173,12 @@ type Result struct {
 	// Labels[v] is the id of the center whose ball captured v; vertices
 	// with the same label form one partition. A center c has Labels[c]==c.
 	Labels []int32
-	// NumCenters is the number of partitions (BFS's started).
+	// NumCenters is the number of partitions: BFS's started, plus the
+	// vertices settled at entry as their own centers.
 	NumCenters int
 	// Rounds is the number of BFS rounds executed (the maximum ball radius
-	// plus center-insertion rounds).
+	// plus center-insertion rounds), plus one for the settle step when it
+	// settled any vertex.
 	Rounds int
 	// Parents holds the BFS claim tree when Options.WantParents was set
 	// (nil otherwise): Parents[w] is the vertex that captured w, and
@@ -228,10 +230,20 @@ func Decompose(g *WGraph, variant Variant, opt Options) (Result, error) {
 // makes early centers few and balls large; the number of vertices becoming
 // eligible per round grows by a factor ~e^beta ("chunks of vertices from the
 // beginning of the permutation, where the chunk size grows exponentially",
-// §4). order lists the vertices by start round (a uniform random permutation
-// refined by round boundaries), and cum[r] counts vertices with start round
-// <= r, so round r's new centers are the still-unvisited vertices in
-// order[cum[r-1]:cum[r]].
+// §4). order lists the live vertices by start round (a uniform random
+// permutation refined by round boundaries), and cum[r] counts live vertices
+// with start round <= r, so round r's new centers are the still-unvisited
+// vertices in order[cum[r-1]:cum[r]].
+//
+// A vertex with no edges at level entry is settled before the round loop:
+// it is its own center, it can never claim or be claimed, so drawing it a
+// round, scanning it in the pre pass and walking it on a frontier would be
+// pure overhead (on a KeepDuplicates rMat more than half the input is
+// edgeless). The settle step keeps every vertex's draw, so dmax and every
+// live vertex's start round — hence the live order and every frontier —
+// are what they would be without it; settled vertices only drop out of
+// order (they sort into a trailing bucket past the live prefix). Contracted
+// levels have no edgeless vertices, so there the bucket is empty.
 //
 // The paper replaces the draws with a permutation and analytic chunk sizes;
 // we keep the actual draws (same O(n) cost, deterministic per seed) because
@@ -240,22 +252,37 @@ func Decompose(g *WGraph, variant Variant, opt Options) (Result, error) {
 // level and the recursion never bottoms out, whereas the true process
 // separates them with constant probability per level.
 type shifts struct {
-	order []int32
-	cum   []int32
+	order   []int32 // the live vertices by start round
+	cum     []int32
+	settled int // vertices settled at entry (n - len(order))
 }
 
-// shiftDraw is the parallel draw of the shifts and their bucketing by start
-// round, with its loop bodies and counting pass bound once per machine (see
-// Scratch) so a level allocates no closure. Each draw block also folds its
-// maximum into dmaxBits, one CAS per block, which replaces a separate
-// max-reduction pass.
+// entry is what the level-entry pass initializes besides the start rounds:
+// the label slot of every vertex, unvisited for a live vertex and its own
+// id for a settled one, in exactly one of c (Arb, ArbHybrid) and pairs
+// (Min, whose packed (c1, c2) slot settles to (-1, v)); and, when the BFS
+// tree is wanted, its parent, likewise.
+type entry struct {
+	deg     []int32 // the level's degrees; Deg[v] == 0 settles v
+	c       []int32
+	pairs   []int64
+	parents []int32
+}
+
+// shiftDraw is the parallel draw of the shifts and the level-entry pass that
+// settles edgeless vertices and buckets the rest by start round, with its
+// loop bodies and counting pass bound once per machine (see Scratch) so a
+// level allocates no closure. Each draw block also folds its maximum into
+// dmaxBits, one CAS per block, which replaces a separate max-reduction pass.
 type shiftDraw struct {
+	entry
 	deltas   []float64
-	start    []int32 // start round of each vertex
+	start    []int32 // start round of each vertex; the trailing bucket for a settled one
 	beta     float64
 	seed     uint64
 	dmaxBits atomic.Uint64 // math.Float64bits of the largest delta drawn so far
 	dmax     float64
+	last     int32 // the trailing bucket's key: one past the last start round
 	fn       func(lo, hi int)
 	fnStart  func(lo, hi int)
 	rounds   intsort.Sorter // stable counting pass from start rounds to order
@@ -280,22 +307,42 @@ func newShiftDraw() *shiftDraw {
 			}
 		}
 	}
+	// The entry pass reads each degree once and selects with a mask, not a
+	// branch: live = (d | -d) >> 31 is -1 for Deg[v] > 0 and 0 for an
+	// edgeless v, and an input's mix of the two (54/46 on rMat) would
+	// mispredict a branch on every other vertex.
 	d.fnStart = func(lo, hi int) {
-		deltas, start, dmax := d.deltas, d.start, d.dmax
+		deltas, start, deg, dmax, last := d.deltas, d.start, d.deg, d.dmax, d.last
+		c, pairs, parents := d.c, d.pairs, d.parents
 		for v := lo; v < hi; v++ {
-			start[v] = int32(dmax - deltas[v])
+			x := deg[v]
+			live := (x | -x) >> 31
+			start[v] = int32(dmax-deltas[v])&live | last&^live
+			// A live vertex gets unvisited (-1 == live), a settled one v.
+			cv := live | int32(v)&^live
+			if c != nil {
+				c[v] = cv
+			} else {
+				l64 := int64(live)
+				pairs[v] = packPair(minInf, minInf)&l64 | packPair(-1, int32(v))&^l64
+			}
+			if parents != nil {
+				parents[v] = cv
+			}
 		}
 	}
 	return d
 }
 
-// newShifts draws the shifts on pool and buckets the vertices by start
-// round with intsort's stable counting pass, so order lists each round's
-// vertices in increasing id. Its scratch (deltas, start rounds) and its
-// results (order, cum) come from ws. The scratch is released before
-// returning, and the caller releases order and cum via shifts.release when
-// the decomposition's round loop ends.
-func (d *shiftDraw) newShifts(pool *parallel.Pool, n int, beta float64, seed uint64, procs int, ws *workspace.Arena) shifts {
+// newShifts draws the shifts on pool, settles the edgeless vertices of
+// e.deg into e's slots, and buckets the live vertices by start round with
+// intsort's stable counting pass, so order lists each round's vertices in
+// increasing id. Its scratch (deltas, start rounds) and its results (order,
+// cum) come from ws. The scratch is released before returning, and the
+// caller releases order and cum via shifts.release when the decomposition's
+// round loop ends.
+func (d *shiftDraw) newShifts(pool *parallel.Pool, e entry, beta float64, seed uint64, procs int, ws *workspace.Arena) shifts {
+	n := len(e.deg)
 	deltas := ws.Float64(n)
 	d.deltas, d.beta, d.seed = deltas, beta, seed
 	// Every delta is >= 0, so 0 is a neutral start for the max.
@@ -304,16 +351,17 @@ func (d *shiftDraw) newShifts(pool *parallel.Pool, n int, beta float64, seed uin
 	d.dmax = math.Float64frombits(d.dmaxBits.Load())
 	rounds := int(d.dmax) + 1
 	start := ws.Int32(n)
-	d.start = start
+	d.start, d.entry, d.last = start, e, int32(rounds)
 	pool.Blocks(procs, n, 0, d.fnStart)
-	d.deltas, d.start = nil, nil
+	d.deltas, d.start, d.entry = nil, nil, entry{}
 	order := ws.Int32(n)
-	cum := ws.Int32(rounds)
-	d.rounds.Order(pool, procs, start, rounds, order, cum)
+	cum := ws.Int32(rounds + 1)
+	d.rounds.Order(pool, procs, start, rounds+1, order, cum)
 	ws.PutFloat64(deltas)
 	ws.PutInt32(start)
+	live := int(cum[rounds-1])
 	//parconn:allow scratchlifetime order and cum transfer to the round loop and are released via shifts.release
-	return shifts{order: order, cum: cum}
+	return shifts{order: order[:live], cum: cum[:rounds], settled: n - live}
 }
 
 // release returns the shift arrays to the arena; s must not be used after.
@@ -322,7 +370,10 @@ func (s shifts) release(ws *workspace.Arena) {
 	ws.PutInt32(s.cum)
 }
 
-// end returns the number of vertices whose start round is <= round.
+// live returns the number of vertices the round loop schedules.
+func (s shifts) live() int { return len(s.order) }
+
+// end returns the number of live vertices whose start round is <= round.
 func (s shifts) end(round int) int {
 	if round >= len(s.cum) {
 		return len(s.order)
@@ -334,13 +385,28 @@ func (s shifts) end(round int) int {
 }
 
 // fastForward returns the smallest round >= r whose schedule end exceeds
-// ptr. Used when the frontier goes empty: with no active BFS, idle rounds
-// are no-ops, so we jump to the round that produces the next center.
+// ptr, which must be below live(). Used when the frontier goes empty: with
+// no active BFS, idle rounds are no-ops, so we jump to the round that
+// produces the next center.
 func (s shifts) fastForward(r, ptr int) int {
 	for s.end(r) <= ptr {
 		r++
 	}
 	return r
+}
+
+// settle reports the settled vertices as the level's first Round event,
+// numbered -1 (before the schedule's first round) with them as both its
+// frontier and its new centers, so a level's Round events still sum to its
+// components. It returns the centers and rounds they count for.
+func (s shifts) settle(rec obs.Recorder, level int) (centers, rounds int) {
+	if s.settled == 0 {
+		return 0, 0
+	}
+	if rec != nil {
+		rec.Round(obs.Round{Level: level, Round: -1, Frontier: s.settled, NewCenters: s.settled})
+	}
+	return s.settled, 1
 }
 
 // countVisited is a helper for stats assertions in tests.

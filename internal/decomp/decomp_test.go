@@ -343,10 +343,20 @@ func TestDecomposeRejectsBadOptions(t *testing.T) {
 	}
 }
 
+// liveEntry is the level-entry input of n vertices that all have an edge,
+// so none is settled and the schedule covers all n.
+func liveEntry(n int) entry {
+	deg := make([]int32, n)
+	for v := range deg {
+		deg[v] = 1
+	}
+	return entry{deg: deg, c: make([]int32, n)}
+}
+
 func TestShiftsProperties(t *testing.T) {
 	const n = 100000
 	const beta = 0.1
-	s := newShiftDraw().newShifts(parallel.Default(), n, beta, 42, 0, workspace.New())
+	s := newShiftDraw().newShifts(parallel.Default(), liveEntry(n), beta, 42, 0, workspace.New())
 	if len(s.order) != n {
 		t.Fatalf("order length %d", len(s.order))
 	}
@@ -394,7 +404,7 @@ func TestShiftsProperties(t *testing.T) {
 		t.Fatalf("final chunk %d too small for exponential growth", last)
 	}
 	// Determinism per seed.
-	s2 := newShiftDraw().newShifts(parallel.Default(), n, beta, 42, 4, workspace.New())
+	s2 := newShiftDraw().newShifts(parallel.Default(), liveEntry(n), beta, 42, 4, workspace.New())
 	for i := range s.order {
 		if s.order[i] != s2.order[i] {
 			t.Fatalf("order differs at %d across proc counts", i)
@@ -404,7 +414,7 @@ func TestShiftsProperties(t *testing.T) {
 
 func TestShiftsTinyN(t *testing.T) {
 	for n := 0; n <= 3; n++ {
-		s := newShiftDraw().newShifts(parallel.Default(), n, 0.5, 1, 1, workspace.New())
+		s := newShiftDraw().newShifts(parallel.Default(), liveEntry(n), 0.5, 1, 1, workspace.New())
 		if len(s.order) != n {
 			t.Fatalf("n=%d: order length %d", n, len(s.order))
 		}
@@ -417,7 +427,7 @@ func TestShiftsTinyN(t *testing.T) {
 	// out on a stubborn 2-vertex remainder (see shifts doc comment).
 	separated := false
 	for seed := uint64(0); seed < 64 && !separated; seed++ {
-		s := newShiftDraw().newShifts(parallel.Default(), 2, 0.9, seed, 1, workspace.New())
+		s := newShiftDraw().newShifts(parallel.Default(), liveEntry(2), 0.9, seed, 1, workspace.New())
 		separated = s.end(0) == 1
 	}
 	if !separated {

@@ -49,6 +49,7 @@ type hybridMachine struct {
 	draw                *shiftDraw
 
 	fnPre, fnDense, fnDenseFront, fnSparse, fnFilter func(lo, hi int)
+	fnFrontFill                                      func(lo, hi int)
 }
 
 //parconn:allow hotalloc machine is constructed once per Scratch and recycled across levels and runs
@@ -132,6 +133,14 @@ func newHybridMachine() *hybridMachine {
 			g.Deg[w] = int32(k)
 		}
 		out.Flush()
+	}
+	// frontRound starts at -1, a round no frontier has: the fill at a
+	// level's first dense round.
+	m.fnFrontFill = func(lo, hi int) {
+		frontRound := m.frontRound[lo:hi]
+		for i := range frontRound {
+			frontRound[i] = -1
+		}
 	}
 	// Stamp the dense round's frontier (the previous round's claims plus
 	// this round's new centers) with the round number the dense pass tests.
@@ -265,10 +274,10 @@ func (m *hybridMachine) run(g *WGraph, opt Options) Result {
 	m.liveOut.Reset()
 
 	c := ws.Int32(n)
-	parallel.Fill(procs, c, unvisited)
 	m.c = c
-	sh := m.draw.newShifts(pool, n, opt.Beta, opt.Seed, procs, ws)
+	sh := m.draw.newShifts(pool, entry{deg: g.Deg, c: c}, opt.Beta, opt.Seed, procs, ws)
 	m.perm = sh.order
+	live := sh.live()
 	var bufs [2][]int32
 	bufs[0] = ws.Int32(n)
 	bufs[1] = ws.Int32(n)
@@ -282,10 +291,10 @@ func (m *hybridMachine) run(g *WGraph, opt Options) Result {
 	var explored int64
 	denseThreshold := int(opt.DenseFrac * float64(n))
 	permPtr, visited, round := 0, 0, 0
-	numCenters, workRounds := 0, 0
-	for visited < n {
+	numCenters, workRounds := sh.settle(rec, opt.Level)
+	for visited < live {
 		tPre := now()
-		if curN == 0 && permPtr < n {
+		if curN == 0 && permPtr < live {
 			round = sh.fastForward(round, permPtr)
 		}
 		end := sh.end(round)
@@ -303,7 +312,7 @@ func (m *hybridMachine) run(g *WGraph, opt Options) Result {
 		dPre := time.Since(tPre)
 		phPre += dPre
 		if curN == 0 {
-			if permPtr >= n {
+			if permPtr >= live {
 				break // all vertices visited; loop condition ends next check
 			}
 			// The chunk just scanned was entirely already-visited; advance
@@ -339,7 +348,7 @@ func (m *hybridMachine) run(g *WGraph, opt Options) Result {
 				// instead of a bitmap (no per-round clearing needed). Levels
 				// that never go dense never acquire it.
 				m.frontRound = ws.Int32(n)
-				parallel.Fill(procs, m.frontRound, int32(-1))
+				pool.Blocks(procs, n, 0, m.fnFrontFill)
 			}
 			m.r32 = int32(round)
 			pool.Blocks(procs, curN, 0, m.fnDenseFront)

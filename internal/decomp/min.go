@@ -75,6 +75,8 @@ type minMachine struct {
 	fnPhase2        func(lo, hi int)
 	fnUnsign        func(lo, hi int)
 	fnLabels        func(lo, hi int)
+	fnFrac          func(lo, hi int)
+	seed            uint64
 }
 
 //parconn:allow hotalloc machine is constructed once per Scratch and recycled across levels and runs
@@ -200,6 +202,14 @@ func newMinMachine() *minMachine {
 			}
 		}
 	}
+	// deltaFrac[v] simulates the fractional part of v's exponential shift;
+	// only consulted for vertices that become centers.
+	m.fnFrac = func(lo, hi int) {
+		deltaFrac, seed := m.deltaFrac, m.seed
+		for v := lo; v < hi; v++ {
+			deltaFrac[v] = int32(prand.Hash32(seed^uint64(v)<<1) & (1<<deltaFracBits - 1))
+		}
+	}
 	// Extract the component ids out of the packed pairs.
 	m.fnLabels = func(lo, hi int) {
 		c, labels := m.c, m.labels
@@ -235,19 +245,12 @@ func (m *minMachine) run(g *WGraph, opt Options) Result {
 	m.liveOut.Reset()
 
 	c := ws.Int64(n)
-	parallel.Fill(procs, c, packPair(minInf, minInf))
-	// deltaFrac[v] simulates the fractional part of v's exponential shift;
-	// only consulted for vertices that become centers.
 	deltaFrac := ws.Int32(n)
-	seed := opt.Seed
-	parallel.Blocks(procs, n, 0, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			deltaFrac[v] = int32(prand.Hash32(seed^uint64(v)<<1) & (1<<deltaFracBits - 1))
-		}
-	})
-	m.c, m.deltaFrac = c, deltaFrac
-	sh := m.draw.newShifts(pool, n, opt.Beta, opt.Seed, procs, ws)
+	m.c, m.deltaFrac, m.seed = c, deltaFrac, opt.Seed
+	pool.Blocks(procs, n, 0, m.fnFrac)
+	sh := m.draw.newShifts(pool, entry{deg: g.Deg, pairs: c}, opt.Beta, opt.Seed, procs, ws)
 	m.perm = sh.order
+	live := sh.live()
 	var bufs [2][]int32
 	bufs[0] = ws.Int32(n)
 	bufs[1] = ws.Int32(n)
@@ -257,10 +260,10 @@ func (m *minMachine) run(g *WGraph, opt Options) Result {
 	var phPre, phPhase1, phPhase2 time.Duration
 	var prevRetries, retryDelta int64
 	permPtr, visited, round := 0, 0, 0
-	numCenters, workRounds := 0, 0
-	for visited < n {
+	numCenters, workRounds := sh.settle(rec, opt.Level)
+	for visited < live {
 		tPre := now()
-		if curN == 0 && permPtr < n {
+		if curN == 0 && permPtr < live {
 			round = sh.fastForward(round, permPtr)
 		}
 		end := sh.end(round)
@@ -278,7 +281,7 @@ func (m *minMachine) run(g *WGraph, opt Options) Result {
 		dPre := time.Since(tPre)
 		phPre += dPre
 		if curN == 0 {
-			if permPtr >= n {
+			if permPtr >= live {
 				break // all vertices visited; loop condition ends next check
 			}
 			// The chunk just scanned was entirely already-visited; advance

@@ -18,6 +18,7 @@ type Scratch struct {
 	arb    *arbMachine
 	hybrid *hybridMachine
 	min    *minMachine
+	copier wgraphCopy
 	// tuner is the fallback adaptive scheduler for callers that do not
 	// thread their own through Options.Tuner; its cost EWMA then persists
 	// across this Scratch's Decompose calls.

@@ -18,35 +18,52 @@ type WGraph struct {
 	Deg  []int32 // live-edge counts; Deg[v] <= Offs[v+1]-Offs[v]
 }
 
-// NewWGraph copies g into a fresh working graph.
+// NewWGraph copies g into a fresh working graph, on the default pool.
 func NewWGraph(g *graph.Graph, procs int) *WGraph {
-	w := &WGraph{N: g.N}
-	w.init(g, procs, make([]int32, len(g.Adj)), make([]int32, g.N))
+	w := &WGraph{}
+	var c wgraphCopy
+	c.run(parallel.Default(), w, g, procs, make([]int32, len(g.Adj)), make([]int32, g.N))
 	return w
 }
 
-// InitFrom fills w as a working copy of g with Adj/Deg acquired from ws —
-// the recycling variant of NewWGraph. Offs is shared with g (it is frozen),
-// so when releasing w only Adj and Deg go back to the arena.
-func (w *WGraph) InitFrom(ws *workspace.Arena, g *graph.Graph, procs int) {
-	w.N = g.N
-	w.init(g, procs, ws.Int32(len(g.Adj)), ws.Int32(g.N))
+// InitWGraph fills w as a working copy of g with Adj/Deg acquired from ws,
+// on pool — the recycling variant of NewWGraph, whose copy bodies are bound
+// once per Scratch. Offs is shared with g (it is frozen), so when releasing
+// w only Adj and Deg go back to the arena.
+func (s *Scratch) InitWGraph(w *WGraph, pool *parallel.Pool, ws *workspace.Arena, g *graph.Graph, procs int) {
+	s.copier.run(pool, w, g, procs, ws.Int32(len(g.Adj)), ws.Int32(g.N))
 }
 
-func (w *WGraph) init(g *graph.Graph, procs int, adj, deg []int32) {
-	w.Offs = g.Offs // offsets are never mutated; share them
-	w.Adj = adj
-	w.Deg = deg
-	parallel.Copy(procs, w.Adj, g.Adj)
-	if parallel.Procs(procs) == 1 || g.N < parallel.DefaultGrain {
-		for v := 0; v < g.N; v++ {
-			w.Deg[v] = int32(g.Offs[v+1] - g.Offs[v])
-		}
-		return
+// wgraphCopy fills a working graph from its input: the adjacency copy in
+// uniform edge blocks and the degrees in uniform vertex blocks, two
+// sections on the caller's pool through bodies bound on first use.
+type wgraphCopy struct {
+	w            *WGraph
+	g            *graph.Graph
+	fnAdj, fnDeg func(lo, hi int)
+}
+
+func (c *wgraphCopy) bind() {
+	c.fnAdj = func(lo, hi int) {
+		copy(c.w.Adj[lo:hi], c.g.Adj[lo:hi])
 	}
-	parallel.For(procs, g.N, func(v int) {
-		w.Deg[v] = int32(g.Offs[v+1] - g.Offs[v])
-	})
+	c.fnDeg = func(lo, hi int) {
+		offs, deg := c.g.Offs, c.w.Deg
+		for v := lo; v < hi; v++ {
+			deg[v] = int32(offs[v+1] - offs[v])
+		}
+	}
+}
+
+func (c *wgraphCopy) run(pool *parallel.Pool, w *WGraph, g *graph.Graph, procs int, adj, deg []int32) {
+	*w = WGraph{N: g.N, Offs: g.Offs, Adj: adj, Deg: deg} // offsets are never mutated; share them
+	if c.fnAdj == nil {
+		c.bind()
+	}
+	c.w, c.g = w, g
+	pool.Blocks(procs, len(g.Adj), 0, c.fnAdj)
+	pool.Blocks(procs, g.N, 0, c.fnDeg)
+	c.w, c.g = nil, nil
 }
 
 // LiveEdges returns the current number of live directed edges (sum of Deg).

@@ -78,8 +78,8 @@ func TestFlightRecorderConcurrentRuns(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if fr.Total() != 2*50*12 {
-		t.Fatalf("Total %d want %d", fr.Total(), 2*50*12)
+	if want := int64(2 * 50 * len(emitAll(Nop{}))); fr.Total() != want {
+		t.Fatalf("Total %d want %d", fr.Total(), want)
 	}
 }
 

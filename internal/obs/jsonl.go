@@ -217,7 +217,10 @@ type Summary struct {
 //     than the previous (the contraction recursion is a path, not a tree);
 //   - per level, edges_out <= edges_in and cut/round/retry counts are
 //     non-negative; successive levels' edges_in never increase (the
-//     paper's geometric-decay direction);
+//     paper's geometric-decay direction); the level's Round events count
+//     every partition as a new center exactly once, so their new_centers
+//     sum to the level_end's components (vertices settled at level entry
+//     included, through their own Round event);
 //   - durations are non-negative and phase names/counters are known.
 //
 // It returns a Summary of what was seen alongside the first violation.
@@ -228,6 +231,7 @@ func Validate(events []Event) (Summary, error) {
 	openLevel := -1 // level number of the unmatched LevelStart, -1 when none
 	prevEdgesIn := int64(-1)
 	maxLevel := -1
+	centers := 0 // new_centers of the open level's Round events
 	for i, ev := range events {
 		switch e := ev.V.(type) {
 		case Meta:
@@ -276,6 +280,7 @@ func Validate(events []Event) (Summary, error) {
 			prevEdgesIn = e.EdgesIn
 			maxLevel = max(maxLevel, e.Level)
 			openLevel = e.Level
+			centers = 0
 		case LevelEnd:
 			if openLevel != e.Level {
 				return s, fmt.Errorf("event %d: level_end %d does not match open level %d", i, e.Level, openLevel)
@@ -287,11 +292,19 @@ func Validate(events []Event) (Summary, error) {
 			if e.EdgesCut < 0 || e.EdgesOut < 0 || e.Rounds < 0 || e.CASRetries < 0 {
 				return s, fmt.Errorf("event %d: level %d has negative counts", i, e.Level)
 			}
+			if centers != e.Components {
+				return s, fmt.Errorf("event %d: level %d rounds report %d new centers, level_end %d components",
+					i, e.Level, centers, e.Components)
+			}
 			openLevel = -1
 			s.Levels++
 		case Round:
 			if e.Frontier < 0 || e.NewCenters < 0 || e.CASRetries < 0 || e.Duration < 0 {
 				return s, fmt.Errorf("event %d: round with negative fields", i)
+			}
+			// Standalone decompositions emit rounds outside any level.
+			if openLevel >= 0 && e.Level == openLevel {
+				centers += e.NewCenters
 			}
 			s.Rounds++
 		case Phase:

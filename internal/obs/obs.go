@@ -143,7 +143,7 @@ type LevelEnd struct {
 // Round describes one completed BFS round of a decomposition.
 type Round struct {
 	Level      int           `json:"level"`
-	Round      int           `json:"round"` // shift-schedule round number (idle rounds are skipped)
+	Round      int           `json:"round"` // shift-schedule round number (idle rounds are skipped; -1 reports the vertices settled at level entry)
 	Frontier   int           `json:"frontier"`
 	NewCenters int           `json:"new_centers"`
 	Dense      bool          `json:"dense,omitempty"` // ArbHybrid chose the read-based pass

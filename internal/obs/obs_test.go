@@ -14,12 +14,13 @@ func emitAll(r Recorder) []Event {
 	seq := []Event{
 		{KindRunStart, RunStart{Algorithm: "decomp-arb", Vertices: 10, Edges: 18, Procs: 4, Seed: 42, Beta: 0.2}},
 		{KindLevelStart, LevelStart{Level: 0, Vertices: 10, EdgesIn: 18}},
-		{KindRound, Round{Level: 0, Round: 0, Frontier: 2, NewCenters: 2, Duration: time.Microsecond, CASRetries: 1}},
+		{KindRound, Round{Level: 0, Round: 0, Frontier: 3, NewCenters: 3, Duration: time.Microsecond, CASRetries: 1}},
 		{KindPhase, Phase{Level: 0, Name: PhaseInit, Duration: time.Microsecond}},
 		{KindPhase, Phase{Level: 0, Name: PhaseBFSMain, Duration: 2 * time.Microsecond}},
 		{KindLevelEnd, LevelEnd{Level: 0, Vertices: 10, EdgesIn: 18, EdgesCut: 6, EdgesOut: 4, Components: 3, Rounds: 1, CASRetries: 1}},
 		{KindPhase, Phase{Level: 0, Name: PhaseContract, Duration: time.Microsecond}},
 		{KindLevelStart, LevelStart{Level: 1, Vertices: 3, EdgesIn: 4}},
+		{KindRound, Round{Level: 1, Round: 0, Frontier: 3, NewCenters: 3}},
 		{KindLevelEnd, LevelEnd{Level: 1, Vertices: 3, EdgesIn: 4, Components: 3, Rounds: 1}},
 		{KindCounter, Counter{Name: CounterArenaReused, Value: 4096}},
 		{KindCounter, Counter{Name: CounterPoolJoins, Value: 3}},
@@ -207,6 +208,8 @@ func TestValidateRejects(t *testing.T) {
 		"unknown-phase":   {{KindPhase, Phase{Name: "warp_drive"}}},
 		"unknown-counter": {{KindCounter, Counter{Name: "bogus"}}},
 		"negative-round":  {{KindRound, Round{Frontier: -1}}},
+		"centers-mismatch": {{KindRunStart, run}, {KindLevelStart, LevelStart{Level: 0}},
+			{KindRound, Round{Level: 0, Frontier: 4, NewCenters: 4}}, {KindLevelEnd, LevelEnd{Level: 0, Components: 5}}},
 	} {
 		if _, err := Validate(evs); err == nil {
 			t.Errorf("%s: accepted", name)

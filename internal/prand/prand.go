@@ -174,14 +174,20 @@ func ExpFromUniform(u uint64, lambda float64) float64 {
 // ln(m) = 2(s + s³/3 + s⁵/5 + s⁷/7) with s = (m-1)/(m+1), |s| < 0.1716.
 // The truncation error is under s⁹/9 ≈ 1.3e-8. Pure float arithmetic in a
 // fixed order, so results are identical across platforms and builds.
+//
+// The fold is branch-free: m = 1.f > sqrt2 exactly when the mantissa bits f
+// exceed sqrt2's, and halving m only lowers its exponent field by one, so
+// the borrow of sqrt2Mant - f selects both the exponent field and the
+// increment of e. The result is bit-identical to comparing m > math.Sqrt2
+// and multiplying by 0.5 (exact), without a branch that mispredicts on half
+// of the uniform draws.
 func fastLog(x float64) float64 {
+	const sqrt2Mant = 0x6A09E667F3BCD // mantissa bits of math.Sqrt2
 	bits := math.Float64bits(x)
-	e := float64(int64(bits>>52) - 1023)
-	m := math.Float64frombits(bits&0x000FFFFFFFFFFFFF | 0x3FF0000000000000) // [1,2)
-	if m > math.Sqrt2 {
-		m *= 0.5
-		e++
-	}
+	mant := bits & 0x000FFFFFFFFFFFFF
+	fold := (sqrt2Mant - mant) >> 63 // 1 when m > sqrt2, else 0
+	e := float64(int64(bits>>52) - 1023 + int64(fold))
+	m := math.Float64frombits(mant | (0x3FF-fold)<<52) // [sqrt2/2, sqrt2]
 	s := (m - 1) / (m + 1)
 	s2 := s * s
 	ln := 2 * s * (1 + s2*(1.0/3+s2*(1.0/5+s2*(1.0/7))))

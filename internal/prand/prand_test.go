@@ -290,3 +290,43 @@ func TestFastLogAccuracy(t *testing.T) {
 		check(1 - f)
 	}
 }
+
+// fastLogBranchy is fastLog's original fold, a float compare against
+// math.Sqrt2 and an exact halving; fastLog must match it bit for bit.
+func fastLogBranchy(x float64) float64 {
+	bits := math.Float64bits(x)
+	e := float64(int64(bits>>52) - 1023)
+	m := math.Float64frombits(bits&0x000FFFFFFFFFFFFF | 0x3FF0000000000000)
+	if m > math.Sqrt2 {
+		m *= 0.5
+		e++
+	}
+	s := (m - 1) / (m + 1)
+	s2 := s * s
+	ln := 2 * s * (1 + s2*(1.0/3+s2*(1.0/5+s2*(1.0/7))))
+	return e*math.Ln2 + ln
+}
+
+// TestFastLogBitIdentical pins the branch-free fold to the branchy one: on
+// 10^7 hashed draws of ExpFromUniform's input range, and on every mantissa
+// within 4096 ulps of the fold point at several exponents.
+func TestFastLogBitIdentical(t *testing.T) {
+	check := func(x float64) {
+		if got, want := fastLog(x), fastLogBranchy(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("fastLog(%v) = %v (%#x), branchy fold %v (%#x)",
+				x, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for i := uint64(0); i < 10_000_000; i++ {
+		check(1 - float64(Hash64(i)>>11)/(1<<53))
+	}
+	const sqrt2Mant = 0x6A09E667F3BCD
+	for _, exp := range []uint64{1023, 1022, 1000, 971} {
+		for d := -4096; d <= 4096; d++ {
+			check(math.Float64frombits(exp<<52 | uint64(sqrt2Mant+d)))
+		}
+	}
+	check(1)
+	check(0x1p-53)
+	check(math.Nextafter(1, 0))
+}
