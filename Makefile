@@ -76,8 +76,9 @@ vet-graph:
 
 # Everything that must pass before a change lands: formatting, go vet, the
 # repository's own static analyses (see DESIGN.md "Correctness tooling"),
-# and the unit tests of the scripts under scripts/.
-check: fmt-check vet
+# the benchmark module's vet and tests (they compile against the internal
+# packages it imports), and the unit tests of the scripts under scripts/.
+check: fmt-check vet perfbench-check
 	python3 -m unittest discover -s scripts -p '*_test.py'
 
 fmt:

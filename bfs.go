@@ -33,8 +33,9 @@ func BFS(g *Graph, src int32, procs int) (*BFSResult, error) {
 		Dist:   make([]int32, n),
 		Parent: make([]int32, n),
 	}
-	parallel.Fill(procs, res.Dist, int32(-1))
-	parallel.Fill(procs, res.Parent, int32(-1))
+	pool := parallel.Default()
+	parallel.Fill(pool, procs, res.Dist, int32(-1))
+	parallel.Fill(pool, procs, res.Parent, int32(-1))
 	res.Dist[src] = 0
 	res.Parent[src] = src
 	res.Visited = 1
@@ -60,7 +61,7 @@ func BFS(g *Graph, src int32, procs int) (*BFSResult, error) {
 				}
 			}
 		} else {
-			k = bfsLevelParallel(g, res, cur, nxt, d, procs)
+			k = bfsLevelParallel(pool, procs, g, res, cur, nxt, d)
 		}
 		cur = append(cur[:0], nxt[:k]...)
 		res.Visited += k
@@ -71,9 +72,9 @@ func BFS(g *Graph, src int32, procs int) (*BFSResult, error) {
 
 // bfsLevelParallel expands one BFS level with CAS claiming; each block
 // stages its claims and appends them to nxt in batches.
-func bfsLevelParallel(g *Graph, res *BFSResult, cur, nxt []int32, d int32, procs int) int {
+func bfsLevelParallel(pool *parallel.Pool, procs int, g *Graph, res *BFSResult, cur, nxt []int32, d int32) int {
 	var cursor atomic.Int64
-	parallel.Blocks(procs, len(cur), 256, func(lo, hi int) {
+	pool.Blocks(procs, len(cur), 256, func(lo, hi int) {
 		out := parallel.NewAppender(nxt, &cursor)
 		for fi := lo; fi < hi; fi++ {
 			v := cur[fi]

@@ -242,7 +242,7 @@ func ConnectedComponents(g *Graph, opt Options) ([]int32, error) {
 
 // connectedComponents dispatches a validated Options to the engine.
 func connectedComponents(g *Graph, opt Options) ([]int32, error) {
-	procs := parallel.Procs(opt.Procs)
+	pool, procs := parallel.Default(), parallel.Procs(opt.Procs)
 	switch opt.Algorithm {
 	case DecompArbHybrid, DecompArb, DecompMin:
 		return core.CC(g.g, core.Options{
@@ -254,29 +254,30 @@ func connectedComponents(g *Graph, opt Options) ([]int32, error) {
 			Dedup:        opt.Dedup,
 			EdgeParallel: opt.EdgeParallel,
 			Recorder:     opt.Recorder,
+			Pool:         pool,
 		})
 	case SerialSF:
 		return baseline.SerialSF(g.g), nil
 	case ParallelSFPBBS:
-		return baseline.ParallelSFPBBS(g.g, procs), nil
+		return baseline.ParallelSFPBBS(pool, procs, g.g), nil
 	case ParallelSFPRM:
-		return baseline.ParallelSFPRM(g.g, procs), nil
+		return baseline.ParallelSFPRM(pool, procs, g.g), nil
 	case HybridBFS:
-		return baseline.HybridBFSCC(g.g, procs), nil
+		return baseline.HybridBFSCC(pool, procs, g.g), nil
 	case Multistep:
-		return baseline.MultistepCC(g.g, procs), nil
+		return baseline.MultistepCC(pool, procs, g.g), nil
 	case LabelProp:
-		return baseline.LabelPropCC(g.g, procs), nil
+		return baseline.LabelPropCC(pool, procs, g.g), nil
 	case ShiloachVishkin:
-		return baseline.ShiloachVishkinCC(g.g, procs), nil
+		return baseline.ShiloachVishkinCC(pool, procs, g.g), nil
 	case RandomMate:
-		return baseline.RandomMateCC(g.g, procs, opt.Seed), nil
+		return baseline.RandomMateCC(pool, procs, g.g, opt.Seed), nil
 	case ParallelSFVerify:
-		return baseline.ParallelSFVerify(g.g, procs), nil
+		return baseline.ParallelSFVerify(pool, procs, g.g), nil
 	case SampledSF:
-		return baseline.SampledSF(g.g, procs, 2), nil
+		return baseline.SampledSF(pool, procs, g.g, 2), nil
 	case LDDUnionFind:
-		return baseline.LDDSampledCC(g.g, procs, opt.Beta, opt.Seed)
+		return baseline.LDDSampledCC(pool, procs, g.g, opt.Beta, opt.Seed)
 	default:
 		return nil, fmt.Errorf("parconn: unknown algorithm %d", int(opt.Algorithm))
 	}
@@ -297,7 +298,7 @@ func variantOf(a Algorithm) decomp.Variant {
 // NumVertices - NumComponents edges), computed with the concurrent
 // union-find.
 func SpanningForest(g *Graph, procs int) []Edge {
-	return baseline.SpanningForest(g.g, procs)
+	return baseline.SpanningForest(parallel.Default(), procs, g.g)
 }
 
 // DecompOptions configures Decompose.
@@ -360,12 +361,14 @@ func Decompose(g *Graph, opt DecompOptions) (*Decomposition, error) {
 			Env:       &env,
 		})
 	}
-	w := decomp.NewWGraph(g.g, procs)
+	pool := parallel.Default()
+	w := decomp.NewWGraph(pool, procs, g.g)
 	res, err := decomp.Decompose(w, variantOf(opt.Algorithm), decomp.Options{
 		Beta:     opt.Beta,
 		Seed:     opt.Seed,
 		Procs:    procs,
 		Recorder: rec,
+		Pool:     pool,
 	})
 	if err != nil {
 		if rec != nil {
@@ -377,7 +380,7 @@ func Decompose(g *Graph, opt DecompOptions) (*Decomposition, error) {
 		Labels:        res.Labels,
 		NumPartitions: res.NumCenters,
 		Rounds:        res.Rounds,
-		CutEdges:      w.LiveEdges(procs),
+		CutEdges:      w.LiveEdges(pool, procs),
 	}
 	if rec != nil {
 		rec.RunEnd(RunEnd{Components: d.NumPartitions, Duration: time.Since(t0)})

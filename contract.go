@@ -34,16 +34,18 @@ func Contract(g *Graph, labels []int32, procs int) (*Graph, []int32, error) {
 			return nil, nil, fmt.Errorf("parconn: Contract labels not canonical at %d", v)
 		}
 	}
+	pool := parallel.Default()
 	// Rank the canonical vertices.
 	rank := make([]int32, n)
-	parallel.For(procs, n, func(v int) {
+	pool.For(procs, n, func(v int) {
 		if labels[v] == int32(v) {
 			rank[v] = 1
 		}
 	})
-	k := int(parallel.ExScan(procs, rank))
+	var scan parallel.Scan[int32]
+	k := int(scan.Exclusive(pool, procs, rank, rank))
 	reps := make([]int32, k)
-	parallel.For(procs, n, func(v int) {
+	pool.For(procs, n, func(v int) {
 		if labels[v] == int32(v) {
 			reps[rank[v]] = int32(v)
 		}
@@ -61,19 +63,20 @@ func Contract(g *Graph, labels []int32, procs int) (*Graph, []int32, error) {
 		}
 	}
 	// Dedup with the phase-concurrent hash table, as in the paper.
-	set := hashtable.NewSet(procs, len(pairs))
-	parallel.Blocks(procs, len(pairs), 0, func(lo, hi int) {
+	set := hashtable.NewSet(pool, procs, len(pairs))
+	pool.Blocks(procs, len(pairs), 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			set.Insert(pairs[i])
 		}
 	})
-	pairs = set.Elements(procs)
-	intsort.SortUint64(procs, pairs, int(2*kbits))
+	pairs = set.Elements(pool, procs)
+	var sorter intsort.Sorter
+	sorter.Sort(pool, procs, pairs, int(2*kbits), nil)
 	// Re-pack to the builder's (u<<32 | v) convention.
 	mask := uint64(1)<<kbits - 1
-	parallel.For(procs, len(pairs), func(i int) {
+	pool.For(procs, len(pairs), func(i int) {
 		pairs[i] = (pairs[i]>>kbits)<<32 | (pairs[i] & mask)
 	})
-	q := graph.FromDirectedPairs(k, pairs, false, procs)
+	q := graph.FromDirectedPairs(pool, procs, k, pairs, false)
 	return &Graph{g: q}, reps, nil
 }

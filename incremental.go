@@ -273,7 +273,7 @@ func (inc *Incremental) Snapshot() *IncrementalSnapshot {
 func (inc *Incremental) scan() []int32 {
 	uf := inc.uf.Load()
 	labels := make([]int32, inc.n)
-	parallel.ForGrain(0, inc.n, snapshotScanGrain, func(i int) {
+	parallel.Default().ForGrain(0, inc.n, snapshotScanGrain, func(i int) {
 		labels[i] = uf.Find(int32(i))
 	})
 	return labels

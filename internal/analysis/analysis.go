@@ -7,8 +7,8 @@
 //
 //	mixedatomic     an object accessed through sync/atomic anywhere must be
 //	                accessed atomically everywhere in the package
-//	sharedwrite     closures passed to parallel.For/ForGrain/Blocks/
-//	                WorkerBlocks/Do must not write captured variables unless
+//	sharedwrite     closures passed to the Pool methods For/ForGrain/Blocks/
+//	                WorkerBlocks must not write captured variables unless
 //	                the write is atomic or indexed by a closure-local value;
 //	                a copy into a captured slice must start at an offset from
 //	                the closure's parameters or an atomic Add reservation

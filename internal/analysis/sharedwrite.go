@@ -9,7 +9,7 @@ import (
 
 // sharedWrite flags the canonical fork-join data race: a closure passed to
 // one of the parallel package's entry points (For, ForGrain, Blocks,
-// WorkerBlocks, Do) writing to a variable captured from the enclosing
+// WorkerBlocks) writing to a variable captured from the enclosing
 // scope. A write is allowed when its destination is indexed by a value
 // derived inside the closure (each worker then owns disjoint slots: out[i],
 // partial[worker], nxt[v]) or when the index is reserved atomically
@@ -31,7 +31,7 @@ func (sharedWrite) Name() string { return "sharedwrite" }
 // parallelEntryPoints are the fork-join entry points whose function-typed
 // arguments run concurrently.
 var parallelEntryPoints = map[string]bool{
-	"For": true, "ForGrain": true, "Blocks": true, "WorkerBlocks": true, "Do": true,
+	"For": true, "ForGrain": true, "Blocks": true, "WorkerBlocks": true,
 }
 
 // parallelPkgPath is the import path of the fork-join package.
@@ -57,8 +57,8 @@ func (sharedWrite) Run(pass *Pass) []Finding {
 }
 
 // isParallelEntry reports whether call invokes one of the fork-join entry
-// points, whether through the package qualifier (parallel.For) or
-// unqualified from inside the package itself.
+// points: a Pool method (pool.For), the default-pool Blocks through the
+// package qualifier, or either unqualified from inside the package itself.
 func isParallelEntry(info *types.Info, call *ast.CallExpr) bool {
 	var id *ast.Ident
 	switch fun := unparen(call.Fun).(type) {

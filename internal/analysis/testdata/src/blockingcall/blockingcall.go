@@ -12,10 +12,14 @@ import (
 	"parconn/internal/parallel"
 )
 
+// pool stands for the run's worker pool: the fixture is type-checked and
+// analyzed, never run.
+var pool *parallel.Pool
+
 // run's closure is a parallel-context root; everything it reaches is held
 // to the wait-free contract.
 func run(procs, n int, ch chan int, mu *sync.Mutex) {
-	parallel.Blocks(procs, n, 0, func(lo, hi int) {
+	pool.Blocks(procs, n, 0, func(lo, hi int) {
 		ch <- lo  // want "channel send may block"
 		v := <-ch // want "channel receive may block"
 		_ = v
@@ -40,7 +44,7 @@ func helper(ch chan int) {
 // tryEnqueue is the sanctioned non-blocking pattern: a select with a
 // default clause is exempt along with its communication operands.
 func tryEnqueue(procs int, ch chan int) {
-	parallel.Do(procs, func() {
+	pool.For(procs, 1, func(int) {
 		select {
 		case ch <- 1: // ok: the enclosing select has a default clause
 		default:
@@ -63,7 +67,7 @@ func newMachine(ch chan int) *machine {
 }
 
 func (m *machine) launch(procs, n int) {
-	parallel.Blocks(procs, n, 0, m.fn)
+	pool.Blocks(procs, n, 0, m.fn)
 }
 
 // coordinator code off the parallel context may block freely.

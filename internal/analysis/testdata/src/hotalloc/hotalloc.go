@@ -10,6 +10,10 @@ import (
 	"parconn/internal/parallel"
 )
 
+// pool stands for the run's worker pool: the fixture is type-checked and
+// analyzed, never run.
+var pool *parallel.Pool
+
 type config struct{ n int }
 
 // level plays the per-level decomposition loop: the hot-path root.
@@ -21,7 +25,7 @@ func level(procs, n int) error {
 	*p = n
 	// Closures handed to the parallel entry points are the scheduler's
 	// budgeted per-section cost and are exempt even though they capture.
-	parallel.For(procs, n, func(i int) { buf[i] = 0 })
+	pool.For(procs, n, func(i int) { buf[i] = 0 })
 	helper(buf)
 	usesClosure(n)
 	if n < 0 {

@@ -9,30 +9,34 @@ import (
 	"parconn/internal/parallel"
 )
 
+// pool stands for the run's worker pool: the fixture is type-checked and
+// analyzed, never run.
+var pool *parallel.Pool
+
 func racyInterfaceEmit(rec obs.Recorder, xs []int) {
-	parallel.For(0, len(xs), func(i int) {
+	pool.For(0, len(xs), func(i int) {
 		rec.Counter(obs.Counter{Name: "cas", Value: 1}) // want "Counter"
 	})
 }
 
 func racyConcreteSink(tr *obs.Trace, xs []int) {
-	parallel.Blocks(0, len(xs), 0, func(lo, hi int) {
+	pool.Blocks(0, len(xs), 0, func(lo, hi int) {
 		tr.Round(obs.Round{Round: lo}) // want "Round"
 	})
 }
 
 func racyNestedClosure(rec obs.Recorder, xs []int) {
-	parallel.Do(0, func() {
+	pool.For(0, len(xs), func(i int) {
 		emit := func() {
 			rec.Phase(obs.Phase{Name: "init"}) // want "Phase"
 		}
 		emit()
-	}, func() {})
+	})
 }
 
 func okCoordinatorEmit(rec obs.Recorder, xs []int) {
 	retries := obs.NewShardedInt64(8)
-	parallel.Blocks(0, len(xs), 0, func(lo, hi int) {
+	pool.Blocks(0, len(xs), 0, func(lo, hi int) {
 		casFail := int64(0)
 		for i := lo; i < hi; i++ {
 			casFail++
@@ -43,19 +47,19 @@ func okCoordinatorEmit(rec obs.Recorder, xs []int) {
 }
 
 func racyFlightRecorder(fr *obs.FlightRecorder, xs []int) {
-	parallel.For(0, len(xs), func(i int) {
+	pool.For(0, len(xs), func(i int) {
 		fr.Round(obs.Round{Round: i}) // want "Round"
 	})
 }
 
 func racyProgressSink(p *obs.Progress, xs []int) {
-	parallel.Blocks(0, len(xs), 0, func(lo, hi int) {
+	pool.Blocks(0, len(xs), 0, func(lo, hi int) {
 		p.Phase(obs.Phase{Name: "init"}) // want "Phase"
 	})
 }
 
 func racyEngineRecorder(er *metrics.EngineRecorder, xs []int) {
-	parallel.For(0, len(xs), func(i int) {
+	pool.For(0, len(xs), func(i int) {
 		er.Phase(obs.Phase{Name: "init"}) // want "Phase"
 	})
 }
@@ -64,7 +68,7 @@ func okHistogramFromWorkers(xs []int) {
 	// A bare Histogram is not a Recorder: its Record path is atomic and
 	// explicitly safe to call from inside parallel sections.
 	var h obs.Histogram
-	parallel.For(0, len(xs), func(i int) {
+	pool.For(0, len(xs), func(i int) {
 		h.Record(int64(xs[i])) // ok: wait-free atomic sink
 	})
 	_ = h.Count()
@@ -72,7 +76,7 @@ func okHistogramFromWorkers(xs []int) {
 
 func okUnrelatedMethod(xs []int) {
 	var c counterish
-	parallel.For(0, len(xs), func(i int) {
+	pool.For(0, len(xs), func(i int) {
 		c.Round(i) // ok: not an obs.Recorder
 	})
 	_ = c
@@ -83,40 +87,40 @@ type counterish struct{ n int }
 func (c *counterish) Round(int) {}
 
 func racySpanEmit(sr obs.SpanRecorder, xs []int) {
-	parallel.For(0, len(xs), func(i int) {
+	pool.For(0, len(xs), func(i int) {
 		sr.Span(obs.Span{Endpoint: "component"}) // want "Span"
 	})
 }
 
 func racySpanConcreteSink(w *obs.JSONLWriter, xs []int) {
-	parallel.Blocks(0, len(xs), 0, func(lo, hi int) {
+	pool.Blocks(0, len(xs), 0, func(lo, hi int) {
 		w.Span(obs.Span{Endpoint: "batch", Batch: hi - lo}) // want "Span"
 	})
 }
 
 func okSpanFromCoordinator(sr obs.SpanRecorder, xs []int) {
-	parallel.For(0, len(xs), func(i int) {
+	pool.For(0, len(xs), func(i int) {
 		_ = xs[i]
 	})
 	sr.Span(obs.Span{Endpoint: "component"}) // ok: coordinator, between sections
 }
 
 func racyRegistryRegister(reg *metrics.Registry, xs []int) {
-	parallel.For(0, len(xs), func(i int) {
+	pool.For(0, len(xs), func(i int) {
 		reg.Counter("parconn_worker_ops_total", "per-worker ops", nil).Inc() // want "Counter"
 	})
 }
 
 func racyRegistryRollingRegister(reg *metrics.Registry, rh *metrics.RollingHistogram, xs []int) {
-	parallel.Do(0, func() {
+	pool.Blocks(0, len(xs), 0, func(lo, hi int) {
 		reg.RollingQuantilesNS("parconn_worker_latency_seconds", "latency", nil, rh, 0.99) // want "RollingQuantilesNS"
-	}, func() {})
+	})
 }
 
 func okMetricHandlesFromWorkers(reg *metrics.Registry, rh *metrics.RollingHistogram, xs []int) {
 	ops := reg.Counter("parconn_worker_ops_total", "per-worker ops", nil)
 	depth := reg.Gauge("parconn_worker_depth", "queue depth", nil)
-	parallel.For(0, len(xs), func(i int) {
+	pool.For(0, len(xs), func(i int) {
 		ops.Inc()                 // ok: handle update is wait-free
 		depth.Set(float64(xs[i])) // ok: handle update is wait-free
 		rh.Record(int64(xs[i]))   // ok: rolling histogram records are wait-free

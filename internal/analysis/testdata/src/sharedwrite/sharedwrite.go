@@ -9,28 +9,32 @@ import (
 	"parconn/internal/parallel"
 )
 
+// pool stands for the run's worker pool: the fixture is type-checked and
+// analyzed, never run.
+var pool *parallel.Pool
+
 func racySum(xs []int) int {
 	sum := 0
-	parallel.For(0, len(xs), func(i int) {
+	pool.For(0, len(xs), func(i int) {
 		sum += xs[i] // want "captured sum"
 	})
 	return sum
 }
 
 func okIndexedByLoopVar(xs, out []int) {
-	parallel.For(0, len(xs), func(i int) {
+	pool.For(0, len(xs), func(i int) {
 		out[i] = xs[i] * 2 // ok: slot owned via the loop variable
 	})
 }
 
 func racyFixedIndex(out []int) {
-	parallel.Blocks(0, len(out), 0, func(lo, hi int) {
+	pool.Blocks(0, len(out), 0, func(lo, hi int) {
 		out[0] = lo // want "captured out"
 	})
 }
 
 func okDerivedIndex(out []int32) {
-	parallel.Blocks(0, len(out), 0, func(lo, hi int) {
+	pool.Blocks(0, len(out), 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v := int32(i)
 			out[v] = v // ok: index derived from a closure-local
@@ -40,55 +44,57 @@ func okDerivedIndex(out []int32) {
 
 func okAtomicReservedSlot(out []int64) {
 	var cursor atomic.Int64
-	parallel.For(0, len(out), func(i int) {
+	pool.For(0, len(out), func(i int) {
 		out[cursor.Add(1)-1] = int64(i) // ok: atomically reserved slot
 	})
 }
 
 func okWorkerSlot(procs, n int) []int {
 	acc := make([]int, parallel.Procs(procs))
-	parallel.WorkerBlocks(procs, n, func(worker, lo, hi int) {
+	pool.WorkerBlocks(procs, n, func(worker, lo, hi int) {
 		acc[worker] = hi - lo // ok: one slot per worker
 	})
 	return acc
 }
 
-func racyDo() int {
+func racyTwoSections() int {
 	x := 0
-	parallel.Do(0,
-		func() { x = 1 }, // want "captured x"
-		func() { x = 2 }, // want "captured x"
-	)
+	pool.For(0, 2, func(i int) {
+		x = i // want "captured x"
+	})
+	pool.Blocks(0, 2, 0, func(lo, hi int) {
+		x = lo // want "captured x"
+	})
 	return x
 }
 
 func racyPointer(p *int) {
-	parallel.For(0, 8, func(i int) {
+	pool.For(0, 8, func(i int) {
 		*p = i // want "captured p"
 	})
 }
 
 func racyCopy(dst, src []int) {
-	parallel.Blocks(0, len(src), 0, func(lo, hi int) {
+	pool.Blocks(0, len(src), 0, func(lo, hi int) {
 		copy(dst, src) // want "captured dst"
 	})
 }
 
 func okCopyBlocked(dst, src []int) {
-	parallel.Blocks(0, len(src), 0, func(lo, hi int) {
+	pool.Blocks(0, len(src), 0, func(lo, hi int) {
 		copy(dst[lo:hi], src[lo:hi]) // ok: disjoint worker ranges
 	})
 }
 
 func okCopyWorkerOffset(dst []int, offsets []int, bufs [][]int) {
-	parallel.For(0, len(bufs), func(i int) {
+	pool.For(0, len(bufs), func(i int) {
 		copy(dst[offsets[i]:], bufs[i]) // ok: offset indexed by the worker's own i
 	})
 }
 
 func okCopyReservedBatch(dst []int32, src []int32) {
 	var cursor atomic.Int64
-	parallel.Blocks(0, len(src), 0, func(lo, hi int) {
+	pool.Blocks(0, len(src), 0, func(lo, hi int) {
 		var buf [64]int32
 		k := int64(copy(buf[:], src[lo:hi]))
 		end := cursor.Add(k)
@@ -98,13 +104,13 @@ func okCopyReservedBatch(dst []int32, src []int32) {
 
 func okCopyReservedInline(dst []int32, src []int32) {
 	var cursor atomic.Int64
-	parallel.Blocks(0, len(src), 0, func(lo, hi int) {
+	pool.Blocks(0, len(src), 0, func(lo, hi int) {
 		copy(dst[cursor.Add(int64(hi-lo))-int64(hi-lo):], src[lo:hi]) // ok: reserved in place
 	})
 }
 
 func racyCopyBatchLength(dst []int32, src []int32) {
-	parallel.Blocks(0, len(src), 0, func(lo, hi int) {
+	pool.Blocks(0, len(src), 0, func(lo, hi int) {
 		var buf [64]int32
 		k := copy(buf[:], src[lo:hi])
 		copy(dst[k:], buf[:k]) // want "captured dst"
@@ -113,20 +119,20 @@ func racyCopyBatchLength(dst []int32, src []int32) {
 
 func racyCopyLoadedOffset(dst []int32, src []int32) {
 	var cursor atomic.Int64
-	parallel.Blocks(0, len(src), 0, func(lo, hi int) {
+	pool.Blocks(0, len(src), 0, func(lo, hi int) {
 		off := cursor.Load()        // a load reserves nothing
 		copy(dst[off:], src[lo:hi]) // want "captured dst"
 	})
 }
 
 func racyCopyNoLowBound(dst []int32, src []int32) {
-	parallel.Blocks(0, len(src), 0, func(lo, hi int) {
+	pool.Blocks(0, len(src), 0, func(lo, hi int) {
 		copy(dst[:hi-lo], src[lo:hi]) // want "captured dst"
 	})
 }
 
 func racyIncrement(counts []int) {
-	parallel.ForGrain(0, 100, 10, func(i int) {
+	pool.ForGrain(0, 100, 10, func(i int) {
 		counts[len(counts)-1]++ // want "captured counts"
 	})
 }

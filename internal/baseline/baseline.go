@@ -23,6 +23,7 @@
 package baseline
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"parconn/internal/graph"
@@ -51,22 +52,22 @@ func SerialSF(g *graph.Graph) []int32 {
 
 // ParallelSFPBBS is the CAS-based concurrent spanning-forest connectivity
 // standing in for the PBBS implementation.
-func ParallelSFPBBS(g *graph.Graph, procs int) []int32 {
+func ParallelSFPBBS(pool *parallel.Pool, procs int, g *graph.Graph) []int32 {
 	u := unionfind.NewConcurrent(g.N)
-	unionAllEdges(g, procs, u.Union)
-	return findAll(g.N, procs, u.Find)
+	unionAllEdges(pool, procs, g, u.Union)
+	return findAll(pool, procs, g.N, u.Find)
 }
 
 // ParallelSFPRM is the lock-based concurrent spanning-forest connectivity
 // in the style of Patwary, Refsnes, Manne.
-func ParallelSFPRM(g *graph.Graph, procs int) []int32 {
+func ParallelSFPRM(pool *parallel.Pool, procs int, g *graph.Graph) []int32 {
 	u := unionfind.NewLocked(g.N)
-	unionAllEdges(g, procs, u.Union)
-	return findAll(g.N, procs, u.Find)
+	unionAllEdges(pool, procs, g, u.Union)
+	return findAll(pool, procs, g.N, u.Find)
 }
 
-func unionAllEdges(g *graph.Graph, procs int, union func(int32, int32) bool) {
-	parallel.Blocks(procs, g.N, 256, func(lo, hi int) {
+func unionAllEdges(pool *parallel.Pool, procs int, g *graph.Graph, union func(int32, int32) bool) {
+	pool.Blocks(procs, g.N, 256, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			for _, w := range g.Neighbors(int32(v)) {
 				if w > int32(v) {
@@ -77,20 +78,20 @@ func unionAllEdges(g *graph.Graph, procs int, union func(int32, int32) bool) {
 	})
 }
 
-func findAll(n, procs int, find func(int32) int32) []int32 {
+func findAll(pool *parallel.Pool, procs, n int, find func(int32) int32) []int32 {
 	labels := make([]int32, n)
-	parallel.For(procs, n, func(v int) { labels[v] = find(int32(v)) })
+	pool.For(procs, n, func(v int) { labels[v] = find(int32(v)) })
 	return labels
 }
 
 // SpanningForest returns the edges of a spanning forest of g, computed with
 // the concurrent union-find (one edge per successful union). The forest has
 // exactly n - #components edges.
-func SpanningForest(g *graph.Graph, procs int) []graph.Edge {
+func SpanningForest(pool *parallel.Pool, procs int, g *graph.Graph) []graph.Edge {
 	u := unionfind.NewConcurrent(g.N)
 	procs = parallel.Procs(procs)
 	bufs := make([][]graph.Edge, procs)
-	parallel.WorkerBlocks(procs, g.N, func(worker, lo, hi int) {
+	pool.WorkerBlocks(procs, g.N, func(worker, lo, hi int) {
 		var local []graph.Edge
 		for v := lo; v < hi; v++ {
 			for _, w := range g.Neighbors(int32(v)) {
@@ -101,7 +102,7 @@ func SpanningForest(g *graph.Graph, procs int) []graph.Edge {
 		}
 		bufs[worker] = local
 	})
-	return parallel.ConcatInto(procs, bufs)
+	return slices.Concat(bufs...)
 }
 
 // writeMin32 atomically lowers *loc to val if val is smaller, reporting

@@ -4,21 +4,22 @@ import (
 	"testing"
 
 	"parconn/internal/graph"
+	"parconn/internal/parallel"
 	"parconn/internal/unionfind"
 )
 
-type ccFunc func(*graph.Graph, int) []int32
+type ccFunc func(*parallel.Pool, int, *graph.Graph) []int32
 
 func algorithms() map[string]ccFunc {
 	return map[string]ccFunc{
-		"serial-SF":          func(g *graph.Graph, _ int) []int32 { return SerialSF(g) },
+		"serial-SF":          func(_ *parallel.Pool, _ int, g *graph.Graph) []int32 { return SerialSF(g) },
 		"parallel-SF-PBBS":   ParallelSFPBBS,
 		"parallel-SF-PRM":    ParallelSFPRM,
 		"hybrid-BFS-CC":      HybridBFSCC,
 		"multistep-CC":       MultistepCC,
 		"labelprop-CC":       LabelPropCC,
 		"sv-CC":              ShiloachVishkinCC,
-		"randmate-CC":        func(g *graph.Graph, procs int) []int32 { return RandomMateCC(g, procs, 7) },
+		"randmate-CC":        func(pool *parallel.Pool, procs int, g *graph.Graph) []int32 { return RandomMateCC(pool, procs, g, 7) },
 		"parallel-SF-verify": ParallelSFVerify,
 	}
 }
@@ -60,7 +61,7 @@ func checkLabels(t *testing.T, name, alg string, g *graph.Graph, labels []int32)
 func TestAllBaselinesAllGraphs(t *testing.T) {
 	for gname, g := range testGraphs() {
 		for aname, fn := range algorithms() {
-			labels := fn(g, 0)
+			labels := fn(parallel.Default(), 0, g)
 			checkLabels(t, gname, aname, g, labels)
 		}
 	}
@@ -70,7 +71,7 @@ func TestBaselinesAcrossProcs(t *testing.T) {
 	g := graph.Components(graph.RMat(10, graph.RMatOptions{EdgeFactor: 5, Seed: 4}), graph.Line(500, 1))
 	for _, procs := range []int{1, 2, 8} {
 		for aname, fn := range algorithms() {
-			labels := fn(g, procs)
+			labels := fn(parallel.Default(), procs, g)
 			checkLabels(t, "mixed", aname, g, labels)
 		}
 	}
@@ -78,7 +79,7 @@ func TestBaselinesAcrossProcs(t *testing.T) {
 
 func TestSpanningForestProperties(t *testing.T) {
 	for gname, g := range testGraphs() {
-		forest := SpanningForest(g, 0)
+		forest := SpanningForest(parallel.Default(), 0, g)
 		ref := graph.RefCC(g)
 		comps := graph.NumComponentsOf(ref)
 		if len(forest) != g.N-comps {
@@ -119,7 +120,7 @@ func TestHybridBFSVisitsEveryComponent(t *testing.T) {
 		parts[i] = graph.Line(5, uint64(i))
 	}
 	g := graph.Components(parts...)
-	labels := HybridBFSCC(g, 0)
+	labels := HybridBFSCC(parallel.Default(), 0, g)
 	checkLabels(t, "100comps", "hybrid-BFS-CC", g, labels)
 	if got := graph.NumComponentsOf(labels); got != 100 {
 		t.Fatalf("components=%d want 100", got)
@@ -130,13 +131,13 @@ func TestMultistepPicksGiantComponent(t *testing.T) {
 	// One giant component plus residue; the BFS seed must land in the giant
 	// one (max degree) and label prop must finish the rest.
 	g := graph.Components(graph.RMat(10, graph.RMatOptions{EdgeFactor: 8, Seed: 1}), graph.Line(50, 2), graph.Star(20))
-	labels := MultistepCC(g, 0)
+	labels := MultistepCC(parallel.Default(), 0, g)
 	checkLabels(t, "giant+residue", "multistep-CC", g, labels)
 }
 
 func TestLabelPropConvergesToMin(t *testing.T) {
 	g := graph.Line(100, 3)
-	labels := LabelPropCC(g, 0)
+	labels := LabelPropCC(parallel.Default(), 0, g)
 	// Pure label propagation converges to the minimum vertex id per
 	// component.
 	min := int32(0)
@@ -160,7 +161,7 @@ func TestSVWorstCaseLine(t *testing.T) {
 	// A long path is SV's slow case (many pointer-jumping rounds) but must
 	// stay correct.
 	g := graph.Line(10000, 9)
-	labels := ShiloachVishkinCC(g, 0)
+	labels := ShiloachVishkinCC(parallel.Default(), 0, g)
 	checkLabels(t, "line10k", "sv-CC", g, labels)
 }
 
@@ -169,7 +170,7 @@ func BenchmarkBaselinesRandom(b *testing.B) {
 	for name, fn := range algorithms() {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				fn(g, 0)
+				fn(parallel.Default(), 0, g)
 			}
 		})
 	}
@@ -178,7 +179,7 @@ func BenchmarkBaselinesRandom(b *testing.B) {
 func TestSampledSFAllGraphs(t *testing.T) {
 	for gname, g := range testGraphs() {
 		for _, k := range []int{1, 2, 8} {
-			labels := SampledSF(g, 0, k)
+			labels := SampledSF(parallel.Default(), 0, g, k)
 			checkLabels(t, gname, "sampled-SF", g, labels)
 		}
 	}
@@ -192,14 +193,14 @@ func TestSampledSFAdversarial(t *testing.T) {
 		parts[i] = graph.Random(200, 4, uint64(i))
 	}
 	g := graph.Components(parts...)
-	labels := SampledSF(g, 0, 2)
+	labels := SampledSF(parallel.Default(), 0, g, 2)
 	checkLabels(t, "20xrandom", "sampled-SF", g, labels)
 }
 
 func TestLDDSampledAllGraphs(t *testing.T) {
 	for gname, g := range testGraphs() {
 		for _, beta := range []float64{0.05, 0.2, 0.5} {
-			labels, err := LDDSampledCC(g, 0, beta, 11)
+			labels, err := LDDSampledCC(parallel.Default(), 0, g, beta, 11)
 			if err != nil {
 				t.Fatalf("%s/beta=%v: %v", gname, beta, err)
 			}

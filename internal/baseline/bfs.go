@@ -42,7 +42,7 @@ func newBFSState(n int, denseFrac float64) *bfsState {
 // BFS of Beamer et al. as used by Ligra: write-based (top-down) levels with
 // CAS claiming while the frontier is sparse, read-based (bottom-up) levels
 // once it is dense.
-func (st *bfsState) run(g *graph.Graph, labels []int32, src, label int32, procs int) int {
+func (st *bfsState) run(pool *parallel.Pool, procs int, g *graph.Graph, labels []int32, src, label int32) int {
 	n := g.N
 	//parconn:allow mixedatomic sequential seed write before any worker is forked; the Blocks fork publishes it
 	labels[src] = label
@@ -61,7 +61,7 @@ func (st *bfsState) run(g *graph.Graph, labels []int32, src, label int32, procs 
 		if curN > threshold {
 			// Bottom-up: every unvisited vertex scans for a neighbor on
 			// the frontier and stops at the first hit.
-			parallel.Blocks(procs, n, 0, func(lo, hi int) {
+			pool.Blocks(procs, n, 0, func(lo, hi int) {
 				out := parallel.NewAppender(nxt, &cursor)
 				for w := lo; w < hi; w++ {
 					//parconn:allow mixedatomic bottom-up levels are read/owner-write only (Beamer); rounds are separated by fork-join barriers
@@ -80,11 +80,11 @@ func (st *bfsState) run(g *graph.Graph, labels []int32, src, label int32, procs 
 				out.Flush()
 			})
 			newN := int(cursor.Load())
-			parallel.For(procs, newN, func(i int) { st.frontRound[nxt[i]] = r + 1 })
+			pool.For(procs, newN, func(i int) { st.frontRound[nxt[i]] = r + 1 })
 		} else {
 			// Top-down: frontier vertices claim unvisited neighbors.
 			front := cur[:curN]
-			parallel.Blocks(procs, curN, 256, func(lo, hi int) {
+			pool.Blocks(procs, curN, 256, func(lo, hi int) {
 				out := parallel.NewAppender(nxt, &cursor)
 				for fi := lo; fi < hi; fi++ {
 					v := front[fi]
@@ -113,13 +113,13 @@ func (st *bfsState) run(g *graph.Graph, labels []int32, src, label int32, procs 
 // built from Ligra's BFS). Work-efficient, but its depth is the sum of the
 // component diameters — it degrades on graphs with many components and on
 // high-diameter graphs, exactly as Table 2 shows.
-func HybridBFSCC(g *graph.Graph, procs int) []int32 {
+func HybridBFSCC(pool *parallel.Pool, procs int, g *graph.Graph) []int32 {
 	labels := make([]int32, g.N)
-	parallel.Fill(procs, labels, int32(-1))
+	parallel.Fill(pool, procs, labels, int32(-1))
 	st := newBFSState(g.N, 0.05)
 	for s := 0; s < g.N; s++ {
 		if labels[s] == -1 {
-			st.run(g, labels, int32(s), int32(s), procs)
+			st.run(pool, procs, g, labels, int32(s), int32(s))
 		}
 	}
 	return labels

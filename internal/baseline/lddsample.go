@@ -17,19 +17,19 @@ import (
 // to be among the fastest practical schemes; it inherits the
 // decomposition's linear-work sampling phase while the finish touches only
 // the cut.
-func LDDSampledCC(g *graph.Graph, procs int, beta float64, seed uint64) ([]int32, error) {
+func LDDSampledCC(pool *parallel.Pool, procs int, g *graph.Graph, beta float64, seed uint64) ([]int32, error) {
 	if beta == 0 {
 		beta = 0.2
 	}
-	w := decomp.NewWGraph(g, procs)
-	res, err := decomp.Decompose(w, decomp.Arb, decomp.Options{Beta: beta, Seed: seed, Procs: procs})
+	w := decomp.NewWGraph(pool, procs, g)
+	res, err := decomp.Decompose(w, decomp.Arb, decomp.Options{Beta: beta, Seed: seed, Procs: procs, Pool: pool})
 	if err != nil {
 		return nil, err
 	}
 	clusters := res.Labels
 	u := unionfind.NewConcurrent(g.N)
 	// Merge every vertex into its cluster...
-	parallel.Blocks(procs, g.N, 512, func(lo, hi int) {
+	pool.Blocks(procs, g.N, 512, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			if c := clusters[v]; c != int32(v) {
 				u.Union(int32(v), c)
@@ -38,7 +38,7 @@ func LDDSampledCC(g *graph.Graph, procs int, beta float64, seed uint64) ([]int32
 	})
 	// ...then merge clusters across the surviving inter-cluster edges
 	// (targets were relabeled to cluster centers by the decomposition).
-	parallel.Blocks(procs, g.N, 512, func(lo, hi int) {
+	pool.Blocks(procs, g.N, 512, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			base := w.Offs[v]
 			for i := int64(0); i < int64(w.Deg[v]); i++ {
@@ -46,5 +46,5 @@ func LDDSampledCC(g *graph.Graph, procs int, beta float64, seed uint64) ([]int32
 			}
 		}
 	})
-	return findAll(g.N, procs, u.Find), nil
+	return findAll(pool, procs, g.N, u.Find), nil
 }

@@ -12,10 +12,10 @@ import (
 // component of a highest-degree vertex (on most inputs, the giant
 // component), then label propagation finishes the remaining vertices. In
 // the worst case the label propagation is quadratic work and linear depth.
-func MultistepCC(g *graph.Graph, procs int) []int32 {
+func MultistepCC(pool *parallel.Pool, procs int, g *graph.Graph) []int32 {
 	n := g.N
 	labels := make([]int32, n)
-	parallel.Fill(procs, labels, int32(-1))
+	parallel.Fill(pool, procs, labels, int32(-1))
 	if n == 0 {
 		return labels
 	}
@@ -28,14 +28,14 @@ func MultistepCC(g *graph.Graph, procs int) []int32 {
 		}
 	}
 	st := newBFSState(n, 0.05)
-	st.run(g, labels, seed, seed, procs)
+	st.run(pool, procs, g, labels, seed, seed)
 
 	// Remaining vertices: label propagation restricted to the residue (no
 	// vertex in the residue can be adjacent to the BFS'd component, or the
 	// BFS would have claimed it).
-	active := parallel.PackIndex(procs, n, func(v int) bool { return labels[v] == -1 })
-	parallel.For(procs, len(active), func(i int) { labels[active[i]] = active[i] })
-	labelProp(g, labels, active, procs)
+	active := parallel.PackIndex(pool, procs, n, func(v int) bool { return labels[v] == -1 })
+	pool.For(procs, len(active), func(i int) { labels[active[i]] = active[i] })
+	labelProp(pool, procs, g, labels, active)
 	return labels
 }
 
@@ -44,12 +44,12 @@ func MultistepCC(g *graph.Graph, procs int) []int32 {
 // (Pegasus, GraphChi, Ligra's example, ...). Depth is proportional to
 // component diameter and the work is not linear; it is here as the
 // graph-systems baseline.
-func LabelPropCC(g *graph.Graph, procs int) []int32 {
+func LabelPropCC(pool *parallel.Pool, procs int, g *graph.Graph) []int32 {
 	labels := make([]int32, g.N)
-	parallel.Iota(procs, labels)
+	parallel.Iota(pool, procs, labels)
 	active := make([]int32, g.N)
-	parallel.Iota(procs, active)
-	labelProp(g, labels, active, procs)
+	parallel.Iota(pool, procs, active)
+	labelProp(pool, procs, g, labels, active)
 	return labels
 }
 
@@ -57,18 +57,18 @@ func LabelPropCC(g *graph.Graph, procs int) []int32 {
 // round, every active vertex writeMins its label onto its neighbors;
 // vertices whose label dropped become active in the next round. At the
 // fixpoint every component carries its minimum vertex id.
-func labelProp(g *graph.Graph, labels []int32, active []int32, procs int) {
+func labelProp(pool *parallel.Pool, procs int, g *graph.Graph, labels []int32, active []int32) {
 	n := g.N
 	if len(active) == 0 {
 		return
 	}
 	nxt := make([]int32, n)
 	stamp := make([]int32, n) // round at which a vertex was last activated
-	parallel.Fill(procs, stamp, int32(-1))
+	parallel.Fill(pool, procs, stamp, int32(-1))
 	var cursor atomic.Int64
 	for round := int32(0); len(active) > 0; round++ {
 		cursor.Store(0)
-		parallel.Blocks(procs, len(active), 256, func(lo, hi int) {
+		pool.Blocks(procs, len(active), 256, func(lo, hi int) {
 			out := parallel.NewAppender(nxt, &cursor)
 			for i := lo; i < hi; i++ {
 				v := active[i]

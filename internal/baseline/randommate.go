@@ -14,10 +14,10 @@ import (
 // coin; tails hook onto adjacent heads, eliminating a constant fraction of
 // the roots in expectation, so O(log n) rounds w.h.p. — but every round
 // rescans all m edges, for O(m log n) expected work.
-func RandomMateCC(g *graph.Graph, procs int, seed uint64) []int32 {
+func RandomMateCC(pool *parallel.Pool, procs int, g *graph.Graph, seed uint64) []int32 {
 	n := g.N
 	p := make([]int32, n)
-	parallel.Iota(procs, p)
+	parallel.Iota(pool, procs, p)
 	if n == 0 {
 		return p
 	}
@@ -32,7 +32,7 @@ func RandomMateCC(g *graph.Graph, procs int, seed uint64) []int32 {
 		// Hook: tails link onto adjacent heads. p is flat at the top of
 		// each round, so p[v] is v's root; heads never move this round, so
 		// a single CAS per tail-root suffices and no chains can form.
-		parallel.Blocks(procs, n, 256, func(lo, hi int) {
+		pool.Blocks(procs, n, 256, func(lo, hi int) {
 			for v := lo; v < hi; v++ {
 				rv := atomic.LoadInt32(&p[v])
 				if coin(rv) { // head roots do not hook
@@ -53,7 +53,7 @@ func RandomMateCC(g *graph.Graph, procs int, seed uint64) []int32 {
 			// No tail found a head neighbor. Either all components are
 			// fully contracted (every edge internal), or this round's coins
 			// were unlucky; distinguish by scanning for a crossing edge.
-			if !anyCrossingEdge(g, p, procs) {
+			if !anyCrossingEdge(pool, procs, g, p) {
 				break
 			}
 			continue
@@ -61,7 +61,7 @@ func RandomMateCC(g *graph.Graph, procs int, seed uint64) []int32 {
 		// Flatten: pointer-jump until every vertex points at its root.
 		for {
 			var jumped atomic.Bool
-			parallel.Blocks(procs, n, 0, func(lo, hi int) {
+			pool.Blocks(procs, n, 0, func(lo, hi int) {
 				for v := lo; v < hi; v++ {
 					pv := atomic.LoadInt32(&p[v])
 					gp := atomic.LoadInt32(&p[pv])
@@ -82,9 +82,9 @@ func RandomMateCC(g *graph.Graph, procs int, seed uint64) []int32 {
 }
 
 // anyCrossingEdge reports whether some edge joins two different trees.
-func anyCrossingEdge(g *graph.Graph, p []int32, procs int) bool {
+func anyCrossingEdge(pool *parallel.Pool, procs int, g *graph.Graph, p []int32) bool {
 	var found atomic.Bool
-	parallel.Blocks(procs, g.N, 1024, func(lo, hi int) {
+	pool.Blocks(procs, g.N, 1024, func(lo, hi int) {
 		if found.Load() {
 			return
 		}

@@ -19,14 +19,14 @@ import (
 // Phase 2 skips the vast majority of edges on giant-component graphs while
 // remaining exactly correct on adversarial ones (every edge is either
 // sampled, skipped-as-internal, or processed).
-func SampledSF(g *graph.Graph, procs, sampleK int) []int32 {
+func SampledSF(pool *parallel.Pool, procs int, g *graph.Graph, sampleK int) []int32 {
 	n := g.N
 	if sampleK < 1 {
 		sampleK = 2
 	}
 	u := unionfind.NewConcurrent(n)
 	// Phase 1: sample the first sampleK out-edges per vertex.
-	parallel.Blocks(procs, n, 512, func(lo, hi int) {
+	pool.Blocks(procs, n, 512, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			nbrs := g.Neighbors(int32(v))
 			if len(nbrs) > sampleK {
@@ -60,7 +60,7 @@ func SampledSF(g *graph.Graph, procs, sampleK int) []int32 {
 	// Phase 2: process the remaining edges, skipping vertices already in
 	// the giant component (their sampled edges either stayed internal or
 	// will be seen from the other endpoint if it is outside).
-	parallel.Blocks(procs, n, 512, func(lo, hi int) {
+	pool.Blocks(procs, n, 512, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			nbrs := g.Neighbors(int32(v))
 			if len(nbrs) <= sampleK {
@@ -79,5 +79,5 @@ func SampledSF(g *graph.Graph, procs, sampleK int) []int32 {
 			}
 		}
 	})
-	return findAll(n, procs, u.Find)
+	return findAll(pool, procs, n, u.Find)
 }

@@ -14,10 +14,10 @@ import (
 // parent forest is flat. The number of trees at least halves per round, so
 // there are O(log n) rounds, but every round touches all m edges: O(m log n)
 // work — the super-linear bound the paper's introduction contrasts against.
-func ShiloachVishkinCC(g *graph.Graph, procs int) []int32 {
+func ShiloachVishkinCC(pool *parallel.Pool, procs int, g *graph.Graph) []int32 {
 	n := g.N
 	p := make([]int32, n)
-	parallel.Iota(procs, p)
+	parallel.Iota(pool, procs, p)
 	if n == 0 {
 		return p
 	}
@@ -28,7 +28,7 @@ func ShiloachVishkinCC(g *graph.Graph, procs int) []int32 {
 		// v's parent to w's parent. Monotone writeMin cannot create cycles
 		// (values strictly decrease), and hooking through p[v] rather than
 		// the true root is safe — pointer jumping repairs any chains.
-		parallel.Blocks(procs, n, 256, func(lo, hi int) {
+		pool.Blocks(procs, n, 256, func(lo, hi int) {
 			for v := lo; v < hi; v++ {
 				pv := atomic.LoadInt32(&p[v])
 				for _, w := range g.Neighbors(int32(v)) {
@@ -44,7 +44,7 @@ func ShiloachVishkinCC(g *graph.Graph, procs int) []int32 {
 		// Shortcut: pointer-jump until the forest is flat.
 		for {
 			var jumped atomic.Bool
-			parallel.Blocks(procs, n, 0, func(lo, hi int) {
+			pool.Blocks(procs, n, 0, func(lo, hi int) {
 				for v := lo; v < hi; v++ {
 					pv := atomic.LoadInt32(&p[v])
 					gp := atomic.LoadInt32(&p[pv])

@@ -17,10 +17,10 @@ import (
 // makes parent values monotonically decreasing: cycles are impossible and
 // termination is guaranteed — every round either unites at least two trees
 // or certifies that no crossing edges remain.
-func ParallelSFVerify(g *graph.Graph, procs int) []int32 {
+func ParallelSFVerify(pool *parallel.Pool, procs int, g *graph.Graph) []int32 {
 	n := g.N
 	parent := make([]int32, n)
-	parallel.Iota(procs, parent)
+	parallel.Iota(pool, procs, parent)
 	find := func(x int32) int32 {
 		for {
 			p := atomic.LoadInt32(&parent[x])
@@ -52,7 +52,7 @@ func ParallelSFVerify(g *graph.Graph, procs int) []int32 {
 		// update" the verification pass repairs), but because every store
 		// writes a strictly smaller value into a root slot, the parent
 		// forest stays acyclic and find() always terminates.
-		parallel.Blocks(procs, len(work), 512, func(lo, hi int) {
+		pool.Blocks(procs, len(work), 512, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				u := int32(work[i] >> 32)
 				w := int32(uint32(work[i]))
@@ -75,11 +75,11 @@ func ParallelSFVerify(g *graph.Graph, procs int) []int32 {
 		// happened (plain stores always land), and stores only write
 		// strictly smaller roots, so the total root count drops every
 		// round in which work is non-empty.
-		work = parallel.Pack(procs, work, func(i int) bool {
+		work = parallel.Pack(pool, procs, work, func(i int) bool {
 			u := int32(work[i] >> 32)
 			w := int32(uint32(work[i]))
 			return find(u) != find(w)
 		})
 	}
-	return findAll(n, procs, find)
+	return findAll(pool, procs, n, find)
 }

@@ -46,7 +46,7 @@ func benchContract(b *testing.B, name string, g *graph.Graph, dedup DedupMode, p
 	b.Run(fmt.Sprintf("%s/%v/procs=%d", name, dedup, procs), func(b *testing.B) {
 		pool := parallel.NewPool(procs)
 		defer pool.Close()
-		w := decomp.NewWGraph(g, procs)
+		w := decomp.NewWGraph(parallel.Default(), procs, g)
 		res, err := decomp.Decompose(w, decomp.ArbHybrid, decomp.Options{Beta: 0.2, Seed: 7, Procs: procs, Pool: pool})
 		if err != nil {
 			b.Fatal(err)

@@ -164,7 +164,7 @@ func TestContractRealInputs(t *testing.T) {
 	}
 	for name, g := range inputs {
 		for _, dedup := range dedups {
-			w := decomp.NewWGraph(g, 2)
+			w := decomp.NewWGraph(parallel.Default(), 2, g)
 			res, err := decomp.Decompose(w, decomp.Arb, decomp.Options{Beta: 0.2, Seed: 3, Procs: 2})
 			if err != nil {
 				t.Fatal(err)

@@ -24,7 +24,7 @@ func BenchmarkSparseClaim(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/procs=%d", variant, procs), func(b *testing.B) {
 				pool := parallel.NewPool(procs)
 				defer pool.Close()
-				w := NewWGraph(g, procs)
+				w := NewWGraph(parallel.Default(), procs, g)
 				tr := obs.NewTrace()
 				sc := &Scratch{}
 				opt := Options{Procs: procs, Seed: 7, Pool: pool, Scratch: sc, Recorder: tr}

@@ -139,7 +139,7 @@ func TestDecomposeAllVariantsAllGraphs(t *testing.T) {
 		for _, variant := range variants {
 			for _, beta := range []float64{0.05, 0.2, 0.5} {
 				tr := obs.NewTrace()
-				w := NewWGraph(g, 0)
+				w := NewWGraph(parallel.Default(), 0, g)
 				res, err := Decompose(w, variant, Options{Beta: beta, Seed: 42, Recorder: tr})
 				if err != nil {
 					t.Fatalf("%s/%v/beta=%v: %v", name, variant, beta, err)
@@ -155,7 +155,7 @@ func TestDecomposeProcsInvariantContract(t *testing.T) {
 	g := graph.RMat(10, graph.RMatOptions{EdgeFactor: 5, Seed: 9})
 	for _, procs := range []int{1, 2, 8} {
 		for _, variant := range variants {
-			w := NewWGraph(g, procs)
+			w := NewWGraph(parallel.Default(), procs, g)
 			res, err := Decompose(w, variant, Options{Beta: 0.2, Seed: 1, Procs: procs})
 			if err != nil {
 				t.Fatal(err)
@@ -171,7 +171,7 @@ func TestDecompMinDeterministicAcrossProcs(t *testing.T) {
 	g := graph.RMat(10, graph.RMatOptions{EdgeFactor: 5, Seed: 3})
 	var want []int32
 	for _, procs := range []int{1, 3, 8} {
-		w := NewWGraph(g, procs)
+		w := NewWGraph(parallel.Default(), procs, g)
 		res, err := Decompose(w, Min, Options{Beta: 0.15, Seed: 5, Procs: procs})
 		if err != nil {
 			t.Fatal(err)
@@ -192,12 +192,12 @@ func TestDecomposeBetaEffect(t *testing.T) {
 	// Larger beta means more centers and fewer rounds; smaller beta means
 	// fewer, larger balls. Check the monotone trend on a grid.
 	g := graph.Grid3D(12, 8)
-	w1 := NewWGraph(g, 0)
+	w1 := NewWGraph(parallel.Default(), 0, g)
 	small, err := Decompose(w1, Arb, Options{Beta: 0.05, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2 := NewWGraph(g, 0)
+	w2 := NewWGraph(parallel.Default(), 0, g)
 	large, err := Decompose(w2, Arb, Options{Beta: 0.8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -226,11 +226,11 @@ func TestDecomposeCutFractionScalesWithBeta(t *testing.T) {
 			var sum float64
 			const trials = 5
 			for seed := uint64(0); seed < trials; seed++ {
-				w := NewWGraph(g, 0)
+				w := NewWGraph(parallel.Default(), 0, g)
 				if _, err := Decompose(w, Arb, Options{Beta: beta, Seed: seed}); err != nil {
 					t.Fatal(err)
 				}
-				sum += float64(w.LiveEdges(0)) / m
+				sum += float64(w.LiveEdges(parallel.Default(), 0)) / m
 			}
 			if mean := sum / trials; mean > 3*beta {
 				t.Fatalf("%s beta=%v: mean cut fraction %.3f exceeds 1.5x the 2*beta bound", name, beta, mean)
@@ -248,11 +248,11 @@ func TestDecompMinCutTighter(t *testing.T) {
 	var sum float64
 	const trials = 5
 	for seed := uint64(0); seed < trials; seed++ {
-		w := NewWGraph(g, 0)
+		w := NewWGraph(parallel.Default(), 0, g)
 		if _, err := Decompose(w, Min, Options{Beta: beta, Seed: seed}); err != nil {
 			t.Fatal(err)
 		}
-		sum += float64(w.LiveEdges(0)) / m
+		sum += float64(w.LiveEdges(parallel.Default(), 0)) / m
 	}
 	if mean := sum / trials; mean > 2*beta {
 		t.Fatalf("mean cut fraction %.3f exceeds 2x the beta bound", mean)
@@ -265,7 +265,7 @@ func TestHybridDenseAndSparseRoundsBothOccur(t *testing.T) {
 	// rounds must stay sparse.
 	tr := obs.NewTrace()
 	g := graph.Random(5000, 5, 3)
-	w := NewWGraph(g, 0)
+	w := NewWGraph(parallel.Default(), 0, g)
 	if _, err := Decompose(w, ArbHybrid, Options{Beta: 0.1, Seed: 1, Recorder: tr}); err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestHybridDenseAndSparseRoundsBothOccur(t *testing.T) {
 
 	tr.Reset()
 	gl := graph.Line(5000, 4)
-	wl := NewWGraph(gl, 0)
+	wl := NewWGraph(parallel.Default(), 0, gl)
 	if _, err := Decompose(wl, ArbHybrid, Options{Beta: 0.1, Seed: 1, Recorder: tr}); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestHybridForcedModes(t *testing.T) {
 	// must still satisfy the decomposition contract.
 	g := graph.RMat(10, graph.RMatOptions{EdgeFactor: 8, Seed: 4})
 	for _, frac := range []float64{1e-9, 1.0} {
-		w := NewWGraph(g, 0)
+		w := NewWGraph(parallel.Default(), 0, g)
 		res, err := Decompose(w, ArbHybrid, Options{Beta: 0.2, Seed: 2, DenseFrac: frac})
 		if err != nil {
 			t.Fatal(err)
@@ -309,7 +309,7 @@ func TestHybridForcedModes(t *testing.T) {
 func TestDecomposeIsolatedVerticesSingletons(t *testing.T) {
 	g := graph.FromEdges(20, nil, graph.BuildOptions{})
 	for _, variant := range variants {
-		w := NewWGraph(g, 0)
+		w := NewWGraph(parallel.Default(), 0, g)
 		res, err := Decompose(w, variant, Options{Beta: 0.2, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -328,16 +328,16 @@ func TestDecomposeIsolatedVerticesSingletons(t *testing.T) {
 func TestDecomposeRejectsBadOptions(t *testing.T) {
 	g := graph.Line(10, 1)
 	for _, beta := range []float64{-0.5, 1.0, 2.0} {
-		w := NewWGraph(g, 0)
+		w := NewWGraph(parallel.Default(), 0, g)
 		if _, err := Decompose(w, Arb, Options{Beta: beta}); err == nil {
 			t.Fatalf("beta=%v accepted", beta)
 		}
 	}
-	w := NewWGraph(g, 0)
+	w := NewWGraph(parallel.Default(), 0, g)
 	if _, err := Decompose(w, Variant(99), Options{Beta: 0.2}); err == nil {
 		t.Fatal("unknown variant accepted")
 	}
-	w2 := NewWGraph(g, 0)
+	w2 := NewWGraph(parallel.Default(), 0, g)
 	if _, err := Decompose(w2, ArbHybrid, Options{Beta: 0.2, DenseFrac: 2}); err == nil {
 		t.Fatal("bad dense fraction accepted")
 	}
@@ -475,12 +475,12 @@ func TestWriteMin(t *testing.T) {
 
 func TestWGraphLiveEdges(t *testing.T) {
 	g := graph.Line(10, 1)
-	w := NewWGraph(g, 0)
-	if w.LiveEdges(0) != g.NumDirected() {
-		t.Fatalf("LiveEdges=%d want %d", w.LiveEdges(0), g.NumDirected())
+	w := NewWGraph(parallel.Default(), 0, g)
+	if w.LiveEdges(parallel.Default(), 0) != g.NumDirected() {
+		t.Fatalf("LiveEdges=%d want %d", w.LiveEdges(parallel.Default(), 0), g.NumDirected())
 	}
 	w.Deg[0] = 0
-	if w.LiveEdges(0) != g.NumDirected()-int64(g.Degree(0)) {
+	if w.LiveEdges(parallel.Default(), 0) != g.NumDirected()-int64(g.Degree(0)) {
 		t.Fatal("LiveEdges does not track Deg")
 	}
 }
@@ -489,7 +489,7 @@ func TestPhasesRecorded(t *testing.T) {
 	g := graph.Random(3000, 5, 1)
 	for _, variant := range variants {
 		tr := obs.NewTrace()
-		w := NewWGraph(g, 0)
+		w := NewWGraph(parallel.Default(), 0, g)
 		if _, err := Decompose(w, variant, Options{Beta: 0.2, Seed: 1, Recorder: tr}); err != nil {
 			t.Fatal(err)
 		}

@@ -38,7 +38,7 @@ func processEdgesParallel(pool *parallel.Pool, g *WGraph, c, parents []int32, v,
 		out.Flush()
 	})
 	//parconn:allow hotalloc pack predicate closure is the documented per-call cost of the optional edge-parallel path
-	kept := parallel.PackOn(pool, procs, seg, func(i int) bool { return seg[i] >= 0 })
+	kept := parallel.Pack(pool, procs, seg, func(i int) bool { return seg[i] >= 0 })
 	copy(seg, kept)
 	//parconn:allow conversioncheck kept is a subset of seg, whose length came from the int32 g.Deg[v]
 	g.Deg[v] = int32(len(kept))

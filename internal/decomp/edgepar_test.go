@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"parconn/internal/graph"
+	"parconn/internal/parallel"
 )
 
 func TestEdgeParallelMatchesSequentialContract(t *testing.T) {
@@ -17,7 +18,7 @@ func TestEdgeParallelMatchesSequentialContract(t *testing.T) {
 		"line":   graph.Line(500, 5),
 	} {
 		for _, threshold := range []int{1, 4, 1 << 20} {
-			w := NewWGraph(g, 0)
+			w := NewWGraph(parallel.Default(), 0, g)
 			res, err := Decompose(w, Arb, Options{Beta: 0.2, Seed: 7, EdgeParallel: threshold})
 			if err != nil {
 				t.Fatalf("%s/thr=%d: %v", name, threshold, err)
@@ -32,15 +33,15 @@ func TestEdgeParallelSameCutAsSequential(t *testing.T) {
 	// surviving edge multiset must be identical with and without the
 	// edge-parallel path (same seed, same winner per CAS when serialized).
 	g := graph.Star(5000)
-	w1 := NewWGraph(g, 1)
+	w1 := NewWGraph(parallel.Default(), 1, g)
 	if _, err := Decompose(w1, Arb, Options{Beta: 0.2, Seed: 9, Procs: 1}); err != nil {
 		t.Fatal(err)
 	}
-	w2 := NewWGraph(g, 1)
+	w2 := NewWGraph(parallel.Default(), 1, g)
 	if _, err := Decompose(w2, Arb, Options{Beta: 0.2, Seed: 9, Procs: 1, EdgeParallel: 8}); err != nil {
 		t.Fatal(err)
 	}
-	if w1.LiveEdges(1) != w2.LiveEdges(1) {
-		t.Fatalf("cut differs: %d vs %d", w1.LiveEdges(1), w2.LiveEdges(1))
+	if w1.LiveEdges(parallel.Default(), 1) != w2.LiveEdges(parallel.Default(), 1) {
+		t.Fatalf("cut differs: %d vs %d", w1.LiveEdges(parallel.Default(), 1), w2.LiveEdges(parallel.Default(), 1))
 	}
 }

@@ -99,7 +99,7 @@ func TestFrontierInvariants(t *testing.T) {
 					}
 					pool := parallel.NewPool(procs)
 					defer pool.Close()
-					w := NewWGraph(in.g, procs)
+					w := NewWGraph(parallel.Default(), procs, in.g)
 					res, err := Decompose(w, variant, Options{
 						Procs: procs, Seed: 7, Pool: pool, Scratch: sc, Recorder: rec,
 					})

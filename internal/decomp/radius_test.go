@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"parconn/internal/graph"
+	"parconn/internal/parallel"
 )
 
 // TestBallRadiusBound checks the decomposition's headline guarantee: every
@@ -35,7 +36,7 @@ func TestBallRadiusBound(t *testing.T) {
 		bound := int(4*lnN/c.beta) + 20
 		for seed := uint64(0); seed < seeds; seed++ {
 			for _, variant := range variants {
-				w := NewWGraph(c.g, 0)
+				w := NewWGraph(parallel.Default(), 0, c.g)
 				res, err := Decompose(w, variant, Options{Beta: c.beta, Seed: seed})
 				if err != nil {
 					t.Fatal(err)
@@ -58,7 +59,7 @@ func TestDecompositionRefinesComponents(t *testing.T) {
 	)
 	ref := graph.RefCC(g)
 	for _, variant := range variants {
-		w := NewWGraph(g, 0)
+		w := NewWGraph(parallel.Default(), 0, g)
 		res, err := Decompose(w, variant, Options{Beta: 0.1, Seed: 6})
 		if err != nil {
 			t.Fatal(err)

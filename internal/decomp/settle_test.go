@@ -61,7 +61,7 @@ func TestSettleEdgeless(t *testing.T) {
 					pool := parallel.NewPool(procs)
 					defer pool.Close()
 					tr := obs.NewTrace()
-					w := NewWGraph(g, procs)
+					w := NewWGraph(parallel.Default(), procs, g)
 					res, err := Decompose(w, variant, Options{
 						Beta: beta, Seed: seed, Procs: procs, Pool: pool, Recorder: tr, WantParents: true,
 					})

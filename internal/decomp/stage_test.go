@@ -31,7 +31,7 @@ func claimFixture(k, n int, marked bool) (*WGraph, []int32, []int32) {
 			edges = append(edges, graph.Edge{U: u, V: v})
 		}
 	}
-	g := NewWGraph(graph.FromEdges(n, edges, graph.BuildOptions{}), 1)
+	g := NewWGraph(parallel.Default(), 1, graph.FromEdges(n, edges, graph.BuildOptions{}))
 	c := make([]int32, n)
 	cur := make([]int32, k)
 	for v := range c {
@@ -158,7 +158,7 @@ func TestHybridSparseDenseSparse(t *testing.T) {
 				pool := parallel.NewPool(procs)
 				defer pool.Close()
 				tr := obs.NewTrace()
-				w := NewWGraph(g, procs)
+				w := NewWGraph(parallel.Default(), procs, g)
 				res, err := Decompose(w, ArbHybrid, Options{
 					Procs: procs, Seed: 11, DenseFrac: frac, Pool: pool, Recorder: tr,
 				})

@@ -18,11 +18,11 @@ type WGraph struct {
 	Deg  []int32 // live-edge counts; Deg[v] <= Offs[v+1]-Offs[v]
 }
 
-// NewWGraph copies g into a fresh working graph, on the default pool.
-func NewWGraph(g *graph.Graph, procs int) *WGraph {
+// NewWGraph copies g into a fresh working graph, on pool p.
+func NewWGraph(p *parallel.Pool, procs int, g *graph.Graph) *WGraph {
 	w := &WGraph{}
 	var c wgraphCopy
-	c.run(parallel.Default(), w, g, procs, make([]int32, len(g.Adj)), make([]int32, g.N))
+	c.run(p, w, g, procs, make([]int32, len(g.Adj)), make([]int32, g.N))
 	return w
 }
 
@@ -66,11 +66,12 @@ func (c *wgraphCopy) run(pool *parallel.Pool, w *WGraph, g *graph.Graph, procs i
 	c.w, c.g = nil, nil
 }
 
-// LiveEdges returns the current number of live directed edges (sum of Deg).
-// CC no longer calls this per level (the decomposition machines report
-// Result.EdgesOut from their classification passes instead); the remaining
-// callers are cold-path consumers like the spanner and CutEdges stats.
-func (w *WGraph) LiveEdges(procs int) int64 {
+// LiveEdges returns the current number of live directed edges (sum of Deg),
+// summed on pool p. CC does not call it per level (the decomposition
+// machines report Result.EdgesOut from their classification passes
+// instead); its callers are cold-path consumers like the spanner and
+// CutEdges stats.
+func (w *WGraph) LiveEdges(p *parallel.Pool, procs int) int64 {
 	if parallel.Procs(procs) == 1 || w.N < parallel.DefaultGrain {
 		var total int64
 		for _, d := range w.Deg {
@@ -78,5 +79,5 @@ func (w *WGraph) LiveEdges(procs int) int64 {
 		}
 		return total
 	}
-	return parallel.MapReduce(procs, w.N, func(v int) int64 { return int64(w.Deg[v]) })
+	return parallel.MapReduce(p, procs, w.N, func(v int) int64 { return int64(w.Deg[v]) })
 }

@@ -29,10 +29,10 @@ func Random(n, perVertex int, seed uint64) *Graph {
 	if n <= 0 {
 		return &Graph{N: 0, Offs: []int64{0}}
 	}
-	procs := parallel.Procs(0)
+	pool := parallel.Default()
 	pairs := make([]uint64, 0, 2*n*perVertex)
 	edges := make([]Edge, n*perVertex)
-	parallel.Blocks(procs, n, 0, func(lo, hi int) {
+	pool.Blocks(0, n, 0, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			for j := 0; j < perVertex; j++ {
 				u := prand.Hash64(seed^uint64(v)<<20^uint64(j)) % uint64(n)
@@ -45,7 +45,7 @@ func Random(n, perVertex int, seed uint64) *Graph {
 			pairs = append(pairs, pack(e.U, e.V), pack(e.V, e.U))
 		}
 	}
-	return fromDirectedPairs(n, pairs, false, procs)
+	return FromDirectedPairs(pool, 0, n, pairs, false)
 }
 
 // RMatOptions parameterizes the recursive-matrix generator.
@@ -81,9 +81,8 @@ func RMat(scale int, opt RMatOptions) *Graph {
 	}
 	m := n * ef
 	perm := prand.Permutation(n, opt.Seed^0xabcdef)
-	procs := parallel.Procs(0)
 	edges := make([]Edge, m)
-	parallel.Blocks(procs, m, 0, func(lo, hi int) {
+	parallel.Default().Blocks(0, m, 0, func(lo, hi int) {
 		src := prand.New(opt.Seed).Split(uint64(lo))
 		for i := lo; i < hi; i++ {
 			u, v := 0, 0
@@ -124,10 +123,9 @@ func Grid3D(side int, seed uint64) *Graph {
 	}
 	n := side * side * side
 	perm := prand.Permutation(n, seed)
-	procs := parallel.Procs(0)
 	idx := func(x, y, z int) int32 { return perm[(x*side+y)*side+z] }
 	edges := make([]Edge, 3*n)
-	parallel.Blocks(procs, n, 0, func(lo, hi int) {
+	parallel.Default().Blocks(0, n, 0, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			x := v / (side * side)
 			y := (v / side) % side
@@ -151,7 +149,7 @@ func Line(n int, seed uint64) *Graph {
 	}
 	perm := prand.Permutation(n, seed)
 	edges := make([]Edge, n-1)
-	parallel.For(0, n-1, func(i int) {
+	parallel.Default().For(0, n-1, func(i int) {
 		edges[i] = Edge{perm[i], perm[i+1]}
 	})
 	return FromEdges(n, edges, BuildOptions{})
@@ -195,7 +193,7 @@ func Components(parts ...*Graph) *Graph {
 		}
 		n += p.N
 	}
-	return fromDirectedPairs(n, pairs, false, parallel.Procs(0))
+	return FromDirectedPairs(parallel.Default(), 0, n, pairs, false)
 }
 
 // String summarizes the graph for logs.

@@ -21,7 +21,7 @@ func Grid2D(side int, seed uint64) *Graph {
 	perm := prand.Permutation(n, seed)
 	idx := func(x, y int) int32 { return perm[x*side+y] }
 	edges := make([]Edge, 2*n)
-	parallel.Blocks(0, n, 0, func(lo, hi int) {
+	parallel.Default().Blocks(0, n, 0, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			x, y := v/side, v%side
 			edges[2*v+0] = Edge{idx(x, y), idx((x+1)%side, y)}

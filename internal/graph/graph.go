@@ -14,6 +14,7 @@ package graph
 import (
 	"fmt"
 
+	"parconn/internal/intsort"
 	"parconn/internal/parallel"
 )
 
@@ -120,7 +121,6 @@ type BuildOptions struct {
 // (u,v) and (v,u). Out-of-range endpoints cause a panic (generator bugs
 // should fail loudly, not produce a corrupt graph).
 func FromEdges(n int, edges []Edge, opt BuildOptions) *Graph {
-	procs := parallel.Procs(opt.Procs)
 	// Expand to directed pairs, dropping self-loops.
 	pairs := make([]uint64, 0, 2*len(edges))
 	for _, e := range edges {
@@ -132,33 +132,33 @@ func FromEdges(n int, edges []Edge, opt BuildOptions) *Graph {
 		}
 		pairs = append(pairs, pack(e.U, e.V), pack(e.V, e.U))
 	}
-	return fromDirectedPairs(n, pairs, opt.RemoveDuplicates, procs)
+	return FromDirectedPairs(parallel.Default(), opt.Procs, n, pairs, opt.RemoveDuplicates)
 }
 
 // FromDirectedPairs builds a CSR graph from packed directed (u,v) pairs
-// (u in the high 32 bits). The pairs must already be symmetric. It is the
-// shared back-end for FromEdges and for graph contraction.
-func FromDirectedPairs(n int, pairs []uint64, removeDuplicates bool, procs int) *Graph {
-	return fromDirectedPairs(n, pairs, removeDuplicates, parallel.Procs(procs))
-}
-
-func fromDirectedPairs(n int, pairs []uint64, removeDuplicates bool, procs int) *Graph {
+// (u in the high 32 bits) on pool p. The pairs must already be symmetric;
+// they are sorted in place. It is the shared back-end for FromEdges and for
+// graph contraction.
+func FromDirectedPairs(p *parallel.Pool, procs, n int, pairs []uint64, removeDuplicates bool) *Graph {
 	// Sort by (u,v); grouping by source falls out, and deduplication is a
-	// pack over adjacent duplicates.
-	sortPairs(procs, pairs, n)
+	// pack over adjacent duplicates. Only the bits that can be non-zero
+	// given n are sorted: the source half starts at bit 32 regardless, so
+	// the significant width is 32 + Bits(n-1).
+	var s intsort.Sorter
+	s.Sort(p, procs, pairs, 32+intsort.Bits(uint64(max(n, 1)-1)), nil)
 	if removeDuplicates {
-		pairs = uniqueSorted(procs, pairs)
+		pairs = intsort.UniqueSorted(p, procs, pairs)
 	}
 	g := &Graph{N: n, Offs: make([]int64, n+1), Adj: make([]int32, len(pairs))}
 	m := len(pairs)
-	parallel.For(procs, m, func(i int) {
+	p.For(procs, m, func(i int) {
 		g.Adj[i] = int32(uint32(pairs[i]))
 	})
 	// Offs[u] = first index with source u: for each i where the source
 	// changes, record the boundary; then fill gaps (vertices with degree 0).
-	parallel.Fill(procs, g.Offs, -1)
+	parallel.Fill(p, procs, g.Offs, -1)
 	g.Offs[n] = int64(m)
-	parallel.For(procs, m, func(i int) {
+	p.For(procs, m, func(i int) {
 		u := int32(pairs[i] >> 32)
 		if i == 0 || int32(pairs[i-1]>>32) != u {
 			g.Offs[u] = int64(i)

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"testing"
+
+	"parconn/internal/parallel"
 )
 
 func TestFromEdgesBasic(t *testing.T) {
@@ -209,14 +211,14 @@ func TestComponentSizesOf(t *testing.T) {
 func TestFromDirectedPairs(t *testing.T) {
 	// pairs for the single undirected edge {0,1} plus a duplicate.
 	pairs := []uint64{0<<32 | 1, 1 << 32, 0<<32 | 1, 1 << 32}
-	g := FromDirectedPairs(2, pairs, true, 1)
+	g := FromDirectedPairs(parallel.Default(), 1, 2, pairs, true)
 	if g.NumUndirected() != 1 {
 		t.Fatalf("m=%d", g.NumUndirected())
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	kept := FromDirectedPairs(2, append([]uint64(nil), 0<<32|1, 1<<32, 0<<32|1, 1<<32), false, 1)
+	kept := FromDirectedPairs(parallel.Default(), 1, 2, append([]uint64(nil), 0<<32|1, 1<<32, 0<<32|1, 1<<32), false)
 	if kept.NumUndirected() != 2 {
 		t.Fatalf("kept m=%d", kept.NumUndirected())
 	}

@@ -5,24 +5,24 @@ import (
 )
 
 // InducedSubgraph returns the subgraph induced by the vertices with
-// keep[v] == true, plus the mapping from new vertex ids to original ids.
-// Edges with either endpoint dropped are removed.
-func InducedSubgraph(g *Graph, keep []bool, procs int) (*Graph, []int32) {
+// keep[v] == true, plus the mapping from new vertex ids to original ids,
+// computed on pool p. Edges with either endpoint dropped are removed.
+func InducedSubgraph(p *parallel.Pool, procs int, g *Graph, keep []bool) (*Graph, []int32) {
 	if len(keep) != g.N {
 		panic("graph: InducedSubgraph keep length mismatch")
 	}
-	procs = parallel.Procs(procs)
 	newID := make([]int32, g.N)
-	parallel.For(procs, g.N, func(v int) {
+	p.For(procs, g.N, func(v int) {
 		if keep[v] {
 			newID[v] = 1
 		} else {
 			newID[v] = 0
 		}
 	})
-	k := int(parallel.ExScan(procs, newID))
+	var scan parallel.Scan[int32]
+	k := int(scan.Exclusive(p, procs, newID, newID))
 	orig := make([]int32, k)
-	parallel.For(procs, g.N, func(v int) {
+	p.For(procs, g.N, func(v int) {
 		if keep[v] {
 			orig[newID[v]] = int32(v)
 		}
@@ -41,13 +41,13 @@ func InducedSubgraph(g *Graph, keep []bool, procs int) (*Graph, []int32) {
 			}
 		}
 	}
-	return fromDirectedPairs(k, pairs, false, procs), orig
+	return FromDirectedPairs(p, procs, k, pairs, false), orig
 }
 
 // LargestComponent returns the subgraph induced by the largest connected
-// component under labels, plus the new-to-original vertex mapping. Ties are
-// broken by the smaller label.
-func LargestComponent(g *Graph, labels []int32, procs int) (*Graph, []int32) {
+// component under labels, plus the new-to-original vertex mapping, computed
+// on pool p. Ties are broken by the smaller label.
+func LargestComponent(p *parallel.Pool, procs int, g *Graph, labels []int32) (*Graph, []int32) {
 	sizes := ComponentSizesOf(labels)
 	best := int32(-1)
 	bestSize := -1
@@ -60,7 +60,7 @@ func LargestComponent(g *Graph, labels []int32, procs int) (*Graph, []int32) {
 	for v := range keep {
 		keep[v] = g.N > 0 && labels[v] == best
 	}
-	return InducedSubgraph(g, keep, procs)
+	return InducedSubgraph(p, procs, g, keep)
 }
 
 // Degrees returns the degree sequence of g.

@@ -1,12 +1,16 @@
 package graph
 
-import "testing"
+import (
+	"testing"
+
+	"parconn/internal/parallel"
+)
 
 func TestInducedSubgraph(t *testing.T) {
 	// 0-1-2-3-4 path; keep {1,2,3} -> path of 3.
 	g := FromEdges(5, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}}, BuildOptions{})
 	keep := []bool{false, true, true, true, false}
-	sub, orig := InducedSubgraph(g, keep, 0)
+	sub, orig := InducedSubgraph(parallel.Default(), 0, g, keep)
 	if sub.N != 3 || sub.NumUndirected() != 2 {
 		t.Fatalf("n=%d m=%d", sub.N, sub.NumUndirected())
 	}
@@ -30,7 +34,7 @@ func TestInducedSubgraphKeepAllNone(t *testing.T) {
 	for i := range all {
 		all[i] = true
 	}
-	sub, orig := InducedSubgraph(g, all, 0)
+	sub, orig := InducedSubgraph(parallel.Default(), 0, g, all)
 	if sub.N != g.N || sub.NumDirected() != g.NumDirected() {
 		t.Fatal("keep-all changed shape")
 	}
@@ -38,7 +42,7 @@ func TestInducedSubgraphKeepAllNone(t *testing.T) {
 		t.Fatal("orig length")
 	}
 	none := make([]bool, g.N)
-	sub2, orig2 := InducedSubgraph(g, none, 0)
+	sub2, orig2 := InducedSubgraph(parallel.Default(), 0, g, none)
 	if sub2.N != 0 || len(orig2) != 0 {
 		t.Fatal("keep-none not empty")
 	}
@@ -50,13 +54,13 @@ func TestInducedSubgraphLengthMismatchPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	InducedSubgraph(Line(5, 1), []bool{true}, 0)
+	InducedSubgraph(parallel.Default(), 0, Line(5, 1), []bool{true})
 }
 
 func TestLargestComponent(t *testing.T) {
 	g := Components(Line(10, 1), Line(30, 2), Line(5, 3))
 	labels := RefCC(g)
-	sub, orig := LargestComponent(g, labels, 0)
+	sub, orig := LargestComponent(parallel.Default(), 0, g, labels)
 	if sub.N != 30 {
 		t.Fatalf("largest has %d vertices, want 30", sub.N)
 	}

@@ -34,7 +34,7 @@ func VerifyLabeling(g *Graph, labels []int32) error {
 	}
 	var mu sync.Mutex
 	var bad error
-	parallel.Blocks(0, g.N, 1024, func(lo, hi int) {
+	parallel.Default().Blocks(0, g.N, 1024, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			for _, w := range g.Neighbors(int32(v)) {
 				if labels[v] != labels[w] {

@@ -47,14 +47,16 @@ func SizeFor(capacity int) int {
 	return size
 }
 
-// NewSet returns a set able to hold at least capacity keys.
-func NewSet(procs, capacity int) *Set {
+// NewSet returns a set able to hold at least capacity keys, filling its
+// slots on pool p.
+func NewSet(p *parallel.Pool, procs, capacity int) *Set {
 	s := &Set{}
-	s.Reset(procs, make([]uint64, SizeFor(capacity)))
+	s.ResetOn(p, procs, make([]uint64, SizeFor(capacity)))
 	return s
 }
 
-// Reset is ResetOn on the default pool.
+// Reset is ResetOn on the default pool. It is kept for the benchmark
+// program's layer probes (perfbench/trace.go); library code calls ResetOn.
 func (s *Set) Reset(procs int, slots []uint64) {
 	s.ResetOn(parallel.Default(), procs, slots)
 }
@@ -166,11 +168,11 @@ func (s *Set) Len() int { return int(s.count.Load()) }
 // deterministic for a fixed insert set and table size... note: slot layout
 // depends on insert interleaving only when distinct keys race for one slot's
 // probe chain, so ordering may vary across runs; callers sort afterwards if
-// they need a canonical order). It packs on the default pool and must not
-// run concurrently with Insert.
-func (s *Set) Elements(procs int) []uint64 {
+// they need a canonical order). It packs on pool p and must not run
+// concurrently with Insert.
+func (s *Set) Elements(p *parallel.Pool, procs int) []uint64 {
 	s.bind()
-	return parallel.Pack(procs, s.slots, s.fnOccupied)
+	return parallel.Pack(p, procs, s.slots, s.fnOccupied)
 }
 
 // ElementsInto writes the set's keys into dst (which must hold at least

@@ -11,7 +11,7 @@ import (
 )
 
 func TestInsertAndContains(t *testing.T) {
-	s := NewSet(1, 100)
+	s := NewSet(parallel.Default(), 1, 100)
 	for i := uint64(0); i < 100; i++ {
 		if !s.Insert(i * 7) {
 			t.Fatalf("Insert(%d) reported duplicate on first insert", i*7)
@@ -31,7 +31,7 @@ func TestInsertAndContains(t *testing.T) {
 }
 
 func TestInsertDuplicates(t *testing.T) {
-	s := NewSet(1, 10)
+	s := NewSet(parallel.Default(), 1, 10)
 	if !s.Insert(5) || s.Insert(5) || s.Insert(5) {
 		t.Fatal("duplicate insert not detected")
 	}
@@ -41,7 +41,7 @@ func TestInsertDuplicates(t *testing.T) {
 }
 
 func TestInsertZeroKey(t *testing.T) {
-	s := NewSet(1, 4)
+	s := NewSet(parallel.Default(), 1, 4)
 	if !s.Insert(0) {
 		t.Fatal("Insert(0) failed")
 	}
@@ -56,11 +56,11 @@ func TestInsertEmptyPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewSet(1, 4).Insert(Empty)
+	NewSet(parallel.Default(), 1, 4).Insert(Empty)
 }
 
 func TestElementsMatchInserted(t *testing.T) {
-	s := NewSet(1, 1000)
+	s := NewSet(parallel.Default(), 1, 1000)
 	want := make([]uint64, 0, 1000)
 	src := prand.New(9)
 	seen := map[uint64]bool{}
@@ -72,7 +72,7 @@ func TestElementsMatchInserted(t *testing.T) {
 			s.Insert(k)
 		}
 	}
-	got := s.Elements(2)
+	got := s.Elements(parallel.Default(), 2)
 	if len(got) != len(want) {
 		t.Fatalf("Elements len=%d want %d", len(got), len(want))
 	}
@@ -97,7 +97,7 @@ func TestConcurrentInsertExactlyOnce(t *testing.T) {
 	// reported newly-inserted exactly once and the final set must be exact.
 	const keys = 20000
 	const workers = 8
-	s := NewSet(0, keys)
+	s := NewSet(parallel.Default(), 0, keys)
 	newCount := make([]int, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -126,15 +126,15 @@ func TestConcurrentInsertExactlyOnce(t *testing.T) {
 	if s.Len() != keys {
 		t.Fatalf("Len=%d want %d", s.Len(), keys)
 	}
-	if len(s.Elements(0)) != keys {
-		t.Fatalf("Elements len=%d want %d", len(s.Elements(0)), keys)
+	if len(s.Elements(parallel.Default(), 0)) != keys {
+		t.Fatalf("Elements len=%d want %d", len(s.Elements(parallel.Default(), 0)), keys)
 	}
 }
 
 func TestNearCapacity(t *testing.T) {
 	// Fill to the declared capacity; must not panic and must keep all keys.
 	const n = 5000
-	s := NewSet(1, n)
+	s := NewSet(parallel.Default(), 1, n)
 	for i := uint64(1); i <= n; i++ {
 		s.Insert(i * 2654435761)
 	}
@@ -144,7 +144,7 @@ func TestNearCapacity(t *testing.T) {
 }
 
 func TestTinyCapacity(t *testing.T) {
-	s := NewSet(1, 0)
+	s := NewSet(parallel.Default(), 1, 0)
 	s.Insert(1)
 	s.Insert(2)
 	if s.Len() != 2 {
@@ -153,7 +153,7 @@ func TestTinyCapacity(t *testing.T) {
 }
 
 func TestContainsEmptyKeyFalse(t *testing.T) {
-	s := NewSet(1, 4)
+	s := NewSet(parallel.Default(), 1, 4)
 	if s.Contains(Empty) {
 		t.Fatal("Contains(Empty) = true")
 	}
@@ -161,7 +161,7 @@ func TestContainsEmptyKeyFalse(t *testing.T) {
 
 func BenchmarkInsert1M(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := NewSet(0, 1<<20)
+		s := NewSet(parallel.Default(), 0, 1<<20)
 		for k := uint64(0); k < 1<<20; k++ {
 			s.Insert(k*0x9e3779b97f4a7c15 + 1)
 		}

@@ -59,16 +59,9 @@ type Sorter struct {
 	fnCopy           func(lo, hi int) // copies src[lo:hi] into dst
 }
 
-// SortUint64 sorts a in ascending order, treating only the low `bits` bits
-// as significant (keys must not exceed 2^bits - 1; bits <= 0 or > 64 means
-// 64). The sort is stable and parallel.
-func SortUint64(procs int, a []uint64, bits int) {
-	SortUint64In(procs, a, bits, nil)
-}
-
-// SortUint64In is SortUint64 with caller-provided ping-pong storage: scratch
-// must be nil or have length >= len(a). It runs on the default pool, and
-// builds a Sorter only when the sort forks.
+// SortUint64In is Sorter.Sort on the default pool, building a Sorter only
+// when the sort forks. It is kept for the benchmark program's layer probes
+// (perfbench/trace.go); library code keeps a Sorter and passes its pool.
 func SortUint64In(procs int, a []uint64, bits int, scratch []uint64) {
 	if sortBlocks(procs, len(a)) == 1 {
 		sortSerial(a, bits, scratch)
@@ -78,8 +71,11 @@ func SortUint64In(procs int, a []uint64, bits int, scratch []uint64) {
 	s.Sort(parallel.Default(), procs, a, bits, scratch)
 }
 
-// Sort is SortUint64In on pool p. Passing a recycled scratch buffer makes
-// a warm Sorter's sort allocation-free.
+// Sort sorts a in ascending order on pool p, treating only the low `bits`
+// bits as significant (keys must not exceed 2^bits - 1; bits <= 0 or > 64
+// means 64). The sort is stable. scratch is the ping-pong storage: nil or
+// of length >= len(a). Passing a recycled scratch buffer makes a warm
+// Sorter's sort allocation-free.
 func (s *Sorter) Sort(p *parallel.Pool, procs int, a []uint64, bits int, scratch []uint64) {
 	n := len(a)
 	nblocks := sortBlocks(procs, n)
@@ -279,32 +275,14 @@ func (s *Sorter) writeBlock(b int) {
 	}
 }
 
-// SortInt32 sorts non-negative int32 values ascending using the radix sort.
-// maxVal bounds the values (pass a negative maxVal to use the full 31 bits).
-func SortInt32(procs int, a []int32, maxVal int32) {
-	n := len(a)
-	if n <= 1 {
-		return
-	}
-	bits := 31
-	if maxVal >= 0 {
-		bits = Bits(uint64(maxVal))
-	}
-	keys := make([]uint64, n)
-	parallel.For(procs, n, func(i int) { keys[i] = uint64(uint32(a[i])) })
-	SortUint64(procs, keys, bits)
-	parallel.For(procs, n, func(i int) { a[i] = int32(keys[i]) })
-}
-
-// UniqueSorted compacts consecutive duplicates in the sorted slice a,
-// returning the deduplicated prefix (it reuses a's storage).
-func UniqueSorted(procs int, a []uint64) []uint64 {
+// UniqueSorted compacts consecutive duplicates in the sorted slice a on
+// pool p, returning the deduplicated slice.
+func UniqueSorted(p *parallel.Pool, procs int, a []uint64) []uint64 {
 	n := len(a)
 	if n <= 1 {
 		return a
 	}
-	out := parallel.Pack(procs, a, func(i int) bool {
+	return parallel.Pack(p, procs, a, func(i int) bool {
 		return i == 0 || a[i] != a[i-1]
 	})
-	return out
 }

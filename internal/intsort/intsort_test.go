@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"parconn/internal/parallel"
 	"parconn/internal/prand"
 )
 
@@ -39,7 +40,7 @@ func TestSortUint64MatchesStdlib(t *testing.T) {
 				a[i] = src.Uint64()
 			}
 			want := sortedCopy(a)
-			SortUint64(p, a, 64)
+			new(Sorter).Sort(parallel.Default(), p, a, 64, nil)
 			for i := range a {
 				if a[i] != want[i] {
 					t.Fatalf("p=%d n=%d: a[%d]=%d want %d", p, n, i, a[i], want[i])
@@ -60,7 +61,7 @@ func TestSortUint64LimitedBits(t *testing.T) {
 				a[i] = src.Uint64() & mask
 			}
 			want := sortedCopy(a)
-			SortUint64(p, a, bits)
+			new(Sorter).Sort(parallel.Default(), p, a, bits, nil)
 			for i := range a {
 				if a[i] != want[i] {
 					t.Fatalf("bits=%d p=%d: mismatch at %d", bits, p, i)
@@ -76,7 +77,7 @@ func TestSortUint64AlreadySortedAndReverse(t *testing.T) {
 	for i := range a {
 		a[i] = uint64(i)
 	}
-	SortUint64(2, a, 0)
+	new(Sorter).Sort(parallel.Default(), 2, a, 0, nil)
 	for i := range a {
 		if a[i] != uint64(i) {
 			t.Fatalf("sorted input perturbed at %d", i)
@@ -85,7 +86,7 @@ func TestSortUint64AlreadySortedAndReverse(t *testing.T) {
 	for i := range a {
 		a[i] = uint64(n - i)
 	}
-	SortUint64(2, a, 0)
+	new(Sorter).Sort(parallel.Default(), 2, a, 0, nil)
 	for i := 1; i < n; i++ {
 		if a[i] < a[i-1] {
 			t.Fatalf("reverse input not sorted at %d", i)
@@ -98,7 +99,7 @@ func TestSortUint64AllEqual(t *testing.T) {
 	for i := range a {
 		a[i] = 42
 	}
-	SortUint64(4, a, 16)
+	new(Sorter).Sort(parallel.Default(), 4, a, 16, nil)
 	for i, v := range a {
 		if v != 42 {
 			t.Fatalf("a[%d]=%d", i, v)
@@ -109,7 +110,7 @@ func TestSortUint64AllEqual(t *testing.T) {
 func TestSortUint64Property(t *testing.T) {
 	f := func(a []uint64) bool {
 		want := sortedCopy(a)
-		SortUint64(4, a, 64)
+		new(Sorter).Sort(parallel.Default(), 4, a, 64, nil)
 		for i := range a {
 			if a[i] != want[i] {
 				return false
@@ -122,29 +123,10 @@ func TestSortUint64Property(t *testing.T) {
 	}
 }
 
-func TestSortInt32(t *testing.T) {
-	src := prand.New(3)
-	for _, p := range procsCases {
-		n := 25000
-		a := make([]int32, n)
-		for i := range a {
-			a[i] = src.Int31n(1 << 20)
-		}
-		want := append([]int32(nil), a...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		SortInt32(p, a, 1<<20-1)
-		for i := range a {
-			if a[i] != want[i] {
-				t.Fatalf("p=%d: a[%d]=%d want %d", p, i, a[i], want[i])
-			}
-		}
-	}
-}
-
 func TestUniqueSorted(t *testing.T) {
 	for _, p := range procsCases {
 		a := []uint64{1, 1, 2, 3, 3, 3, 7, 9, 9}
-		got := UniqueSorted(p, a)
+		got := UniqueSorted(parallel.Default(), p, a)
 		want := []uint64{1, 2, 3, 7, 9}
 		if len(got) != len(want) {
 			t.Fatalf("p=%d: len=%d want %d (%v)", p, len(got), len(want), got)
@@ -158,14 +140,14 @@ func TestUniqueSorted(t *testing.T) {
 }
 
 func TestUniqueSortedEdge(t *testing.T) {
-	if got := UniqueSorted(1, nil); len(got) != 0 {
+	if got := UniqueSorted(parallel.Default(), 1, nil); len(got) != 0 {
 		t.Fatal("nil input")
 	}
-	if got := UniqueSorted(1, []uint64{5}); len(got) != 1 || got[0] != 5 {
+	if got := UniqueSorted(parallel.Default(), 1, []uint64{5}); len(got) != 1 || got[0] != 5 {
 		t.Fatal("single input")
 	}
 	big := make([]uint64, 30000)
-	got := UniqueSorted(4, big)
+	got := UniqueSorted(parallel.Default(), 4, big)
 	if len(got) != 1 || got[0] != 0 {
 		t.Fatalf("all-equal large input: %d", len(got))
 	}
@@ -183,7 +165,7 @@ func TestSortStability(t *testing.T) {
 	}
 	// Sort by the full word: since the low half is the unique index, order
 	// within equal keys must be ascending index — same as stable sort.
-	SortUint64(4, a, 64)
+	new(Sorter).Sort(parallel.Default(), 4, a, 64, nil)
 	for i := 1; i < n; i++ {
 		if a[i-1] >= a[i] {
 			t.Fatalf("not strictly increasing at %d", i)
@@ -198,7 +180,7 @@ func TestSortStability(t *testing.T) {
 	}
 	keys := make([]uint64, n)
 	copy(keys, b)
-	SortUint64(4, keys, 64) // full sort ok for stability check as above
+	new(Sorter).Sort(parallel.Default(), 4, keys, 64, nil) // full sort ok for stability check as above
 	for i := 1; i < n; i++ {
 		if keys[i-1]>>32 == keys[i]>>32 && uint32(keys[i-1]) >= uint32(keys[i]) {
 			t.Fatalf("stability violated at %d", i)
@@ -218,6 +200,6 @@ func BenchmarkSortUint64_1M(b *testing.B) {
 		b.StopTimer()
 		copy(a, orig)
 		b.StartTimer()
-		SortUint64(0, a, 40)
+		new(Sorter).Sort(parallel.Default(), 0, a, 40, nil)
 	}
 }

@@ -60,7 +60,7 @@ func TestPrimitivesForkOnCallerPool(t *testing.T) {
 	}
 
 	forks(t, "Pack", func(p *Pool) {
-		if got := PackOn(p, 2, xs, keep); !slices.Equal(got, want) {
+		if got := Pack(p, 2, xs, keep); !slices.Equal(got, want) {
 			t.Fatal("Pack differs from the serial pack")
 		}
 	})
@@ -72,7 +72,7 @@ func TestPrimitivesForkOnCallerPool(t *testing.T) {
 		}
 	})
 	forks(t, "PackIndex", func(p *Pool) {
-		got := PackIndexOn(p, 2, forkN, keep)
+		got := PackIndex(p, 2, forkN, keep)
 		var wantIdx []int32
 		for i := 0; i < forkN; i++ {
 			if keep(i) {
@@ -91,19 +91,6 @@ func TestPrimitivesForkOnCallerPool(t *testing.T) {
 		dst := make([]int64, forkN)
 		if total := s.Exclusive(p, 2, dst, xs); total != exTotal || !slices.Equal(dst, ex) {
 			t.Fatal("ExScanInto differs from the serial scan")
-		}
-	})
-	forks(t, "InScan", func(p *Pool) {
-		var s Scan[int64]
-		got := slices.Clone(xs)
-		total := s.Inclusive(p, 2, got)
-		if total != exTotal {
-			t.Fatalf("InScan total %d, want %d", total, exTotal)
-		}
-		for i := range got {
-			if got[i] != ex[i]+xs[i] {
-				t.Fatalf("InScan[%d] = %d, want %d", i, got[i], ex[i]+xs[i])
-			}
 		}
 	})
 }

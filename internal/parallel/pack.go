@@ -2,10 +2,10 @@ package parallel
 
 // Packer is the one pack (filter) body behind Pack and PackInto, and
 // PackIndex's flag pass: the work-efficient flag pass, exclusive scan over
-// block counts, and scatter pass. The input is cut into blockCount blocks; the count and
-// scatter passes are dispatched one block per claim on the caller's pool,
-// so they fork whenever it has a second worker, and the scan of the few
-// block counts runs on the caller.
+// block counts, and scatter pass. The input is cut into blockCount blocks;
+// the count and scatter passes are dispatched one block per claim on the
+// caller's pool, so they fork whenever it has a second worker, and the scan
+// of the few block counts runs on the caller.
 //
 // The zero Packer is ready to use, and it must not be copied after first
 // use. Keeping one across calls binds its two block bodies and its count
@@ -93,25 +93,20 @@ func (k *Packer[T]) bind() {
 	}
 }
 
-// PackInto is Pack writing into caller-provided storage on the default
-// pool: it fills dst (which must have capacity for every kept element and
-// must not alias xs) and returns the number of elements written.
+// PackInto is Packer.Into on the default pool with a fresh Packer. It is
+// kept for the benchmark program's layer probes (perfbench/trace.go);
+// library code keeps a Packer and passes its pool.
 func PackInto[T any](procs int, dst, xs []T, keep func(i int) bool) int {
 	var k Packer[T]
 	return k.Into(Default(), procs, dst, xs, keep)
 }
 
 // Pack returns the elements xs[i] for which keep(i) is true, preserving
-// order, computed on the default pool.
-func Pack[T any](procs int, xs []T, keep func(i int) bool) []T {
-	return PackOn(Default(), procs, xs, keep)
-}
-
-// PackOn is Pack on pool p. The output is allocated at its exact size
+// order, computed on pool p. The output is allocated at its exact size
 // between the count and scatter passes.
 //
 //parconn:allow hotalloc the result slice and the Packer are the allocating pack form's documented per-call cost
-func PackOn[T any](p *Pool, procs int, xs []T, keep func(i int) bool) []T {
+func Pack[T any](p *Pool, procs int, xs []T, keep func(i int) bool) []T {
 	n := len(xs)
 	nblocks := blockCount(procs, n)
 	if nblocks == 1 {
@@ -130,15 +125,10 @@ func PackOn[T any](p *Pool, procs int, xs []T, keep func(i int) bool) []T {
 }
 
 // PackIndex returns, in order, the indices i in [0,n) for which keep(i) is
-// true, as int32 values, computed on the default pool. It is used to
-// compact bitmap frontiers back to sparse form.
-func PackIndex(procs, n int, keep func(i int) bool) []int32 {
-	return PackIndexOn(Default(), procs, n, keep)
-}
-
-// PackIndexOn is PackIndex on pool p. It shares Packer's flag pass and
-// writes each kept index directly, with no identity array to pack.
-func PackIndexOn(p *Pool, procs, n int, keep func(i int) bool) []int32 {
+// true, as int32 values, computed on pool p. It is used to compact bitmap
+// frontiers back to sparse form. It shares Packer's flag pass and writes
+// each kept index directly, with no identity array to pack.
+func PackIndex(p *Pool, procs, n int, keep func(i int) bool) []int32 {
 	nblocks := blockCount(procs, n)
 	if nblocks == 1 {
 		out := make([]int32, 0, 16)
@@ -163,22 +153,6 @@ func PackIndexOn(p *Pool, procs, n int, keep func(i int) bool) []int32 {
 				}
 			}
 		}
-	})
-	return out
-}
-
-// ConcatInto concatenates the per-worker buffers bufs into one slice,
-// preserving buffer order. It returns the concatenation.
-func ConcatInto[T any](procs int, bufs [][]T) []T {
-	offsets := make([]int, len(bufs))
-	total := 0
-	for i, b := range bufs {
-		offsets[i] = total
-		total += len(b)
-	}
-	out := make([]T, total)
-	For(procs, len(bufs), func(i int) {
-		copy(out[offsets[i]:], bufs[i])
 	})
 	return out
 }

@@ -1,29 +1,30 @@
 // Package parallel provides the fork-join primitives the rest of the library
 // is written against: blocked parallel-for, prefix sums (scan), pack/filter,
-// and reductions.
+// and a reduction.
 //
-// The paper's implementation uses Cilk Plus (cilk_for / cilk_spawn); this
-// package plays the same role on goroutines. Loops are split into blocks of
-// at least a grain-size of work, and blocks are claimed from an atomic
-// counter (a simple work-stealing-free scheduler that is effective for the
-// flat, regular loops used here). Workers come from a long-lived Pool of
-// parked goroutines (see pool.go) rather than being spawned per call, so
-// the steady-state cost of a parallel section is a channel wake per helper
-// — and zero for sub-grain sections, which run serially on the caller.
-// Every entry point takes an explicit worker count so library callers can
-// bound parallelism per call rather than globally; procs <= 0 means
-// runtime.GOMAXPROCS(0). The package-level functions share one default
-// pool; callers that want scheduling isolation construct their own Pool and
-// use the equivalent methods.
+// The paper's implementation uses Cilk Plus (cilk_for / cilk_spawn), where
+// every loop runs on the one Cilk runtime; here a run's Pool plays that
+// role. Loops are split into blocks of at least a grain-size of work, and
+// blocks are claimed from an atomic counter (a simple work-stealing-free
+// scheduler that is effective for the flat, regular loops used here). The
+// pool's workers are long-lived parked goroutines (see pool.go) rather than
+// spawned per call, so the steady-state cost of a parallel section is a
+// channel wake per helper — and zero for sub-grain sections, which run
+// serially on the caller.
 //
-// Scan and pack each have one body, Scan and Packer, which take the pool to
-// fork on. They cut their input into a few blocks per worker (blockCount)
-// and dispatch those blocks one per claim, so a two-worker pool runs them
-// on both workers; ExScan, ExScanInto, InScan, Pack and PackInto are thin
-// wrappers running them on the default pool, and PackIndex shares Packer's
-// flag pass but writes indices rather than elements. A caller that keeps a
-// Scan or Packer across calls (the contraction machine does) pays for its
-// bound bodies and block scratch once.
+// Every primitive has exactly one form, and it takes the pool to fork on and
+// a worker count first (p *Pool, procs int, ...): the loops are Pool methods
+// (Blocks, For, ForGrain, WorkerBlocks), the generic primitives are
+// functions (Fill, Iota, MapReduce, Pack, PackIndex), and Scan and Packer
+// are the scan and pack bodies, which a caller keeps across calls (the
+// contraction machine does) to bind their block bodies and block scratch
+// once. procs <= 0 means runtime.GOMAXPROCS(0), so callers bound
+// parallelism per call rather than globally. Default is the shared pool an
+// entry point resolves once when its caller supplies none.
+//
+// Three functions run on Default instead of taking a pool: Blocks,
+// ExScanInto and PackInto. They are kept only for the benchmark program's
+// layer probes (perfbench/trace.go); library code calls the pool forms.
 package parallel
 
 import (
@@ -45,16 +46,18 @@ func Procs(p int) int {
 	return p
 }
 
+// Blocks is Pool.Blocks on the default pool. It is kept for the benchmark
+// program's layer probes (perfbench/trace.go); library code calls the pool
+// method.
+func Blocks(procs, n, grain int, fn func(lo, hi int)) {
+	Default().Blocks(procs, n, grain, fn)
+}
+
 // Blocks runs fn over disjoint subranges [lo,hi) covering [0,n) using up to
 // procs workers, with at least grain iterations per block (except the last).
 // fn must be safe to call concurrently on disjoint ranges. If grain <= 0,
 // the loop is treated as uniform work per iteration and UniformGrain is
 // used (a few blocks per worker, at least DefaultGrain).
-func Blocks(procs, n, grain int, fn func(lo, hi int)) {
-	Default().Blocks(procs, n, grain, fn)
-}
-
-// Blocks is the pool-scoped equivalent of the package-level Blocks.
 func (p *Pool) Blocks(procs, n, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -76,11 +79,6 @@ func (p *Pool) Blocks(procs, n, grain int, fn func(lo, hi int)) {
 }
 
 // For runs fn(i) for every i in [0,n) in parallel with the default grain.
-func For(procs, n int, fn func(i int)) {
-	Default().For(procs, n, fn)
-}
-
-// For is the pool-scoped equivalent of the package-level For.
 func (p *Pool) For(procs, n int, fn func(i int)) {
 	p.ForGrain(procs, n, DefaultGrain, fn)
 }
@@ -88,11 +86,6 @@ func (p *Pool) For(procs, n int, fn func(i int)) {
 // ForGrain is For with an explicit grain size, for loops whose per-iteration
 // work is far from uniform (e.g. one iteration per frontier vertex, where a
 // vertex may have a large degree).
-func ForGrain(procs, n, grain int, fn func(i int)) {
-	Default().ForGrain(procs, n, grain, fn)
-}
-
-// ForGrain is the pool-scoped equivalent of the package-level ForGrain.
 func (p *Pool) ForGrain(procs, n, grain int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -122,17 +115,10 @@ func (p *Pool) ForGrain(procs, n, grain int, fn func(i int)) {
 // index is ever repeated, and no two concurrent invocations of fn share an
 // index — so callers may maintain per-worker buffers sized by procs (or by
 // the returned used) and index them by worker without synchronization,
-// concatenating afterwards. Chunks are nonempty whenever n >= used. Unlike
-// the pre-pool implementation, fn is NOT invoked with an empty [n, n) range
-// for worker indices beyond used: entries of a procs-sized buffer past used
-// keep their zero value and callers must treat them as absent, not as
-// fn-initialized.
-func WorkerBlocks(procs, n int, fn func(worker, lo, hi int)) int {
-	return Default().WorkerBlocks(procs, n, fn)
-}
-
-// WorkerBlocks is the pool-scoped equivalent of the package-level
-// WorkerBlocks.
+// concatenating afterwards. Chunks are nonempty whenever n >= used. fn is
+// not invoked for worker indices beyond used: entries of a procs-sized
+// buffer past used keep their zero value and callers must treat them as
+// absent, not as fn-initialized.
 func (p *Pool) WorkerBlocks(procs, n int, fn func(worker, lo, hi int)) int {
 	used := min(Procs(procs), n)
 	if used <= 1 {
@@ -141,27 +127,6 @@ func (p *Pool) WorkerBlocks(procs, n int, fn func(worker, lo, hi int)) int {
 	}
 	p.exec(&task{fnWorker: fn, n: n, nblocks: used}, used)
 	return used
-}
-
-// Do runs every function in fns, in parallel when procs > 1. It is the
-// cilk_spawn analogue for a small constant number of independent tasks.
-func Do(procs int, fns ...func()) {
-	Default().Do(procs, fns...)
-}
-
-// Do is the pool-scoped equivalent of the package-level Do.
-func (p *Pool) Do(procs int, fns ...func()) {
-	procs = Procs(procs)
-	if procs == 1 || len(fns) == 1 {
-		for _, fn := range fns {
-			fn()
-		}
-		return
-	}
-	if procs > len(fns) {
-		procs = len(fns)
-	}
-	p.exec(&task{fnList: fns}, procs)
 }
 
 // Number is the constraint for the arithmetic primitives in this package.
@@ -178,64 +143,38 @@ func serial(procs, n int) bool {
 	return n < DefaultGrain || Procs(procs) == 1
 }
 
-// Fill sets every element of dst to v in parallel.
-func Fill[T any](procs int, dst []T, v T) {
+// Fill sets every element of dst to v in parallel on pool p.
+func Fill[T any](p *Pool, procs int, dst []T, v T) {
 	if serial(procs, len(dst)) {
 		for i := range dst {
 			dst[i] = v
 		}
 		return
 	}
-	Blocks(procs, len(dst), 0, func(lo, hi int) {
+	p.Blocks(procs, len(dst), 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = v
 		}
 	})
 }
 
-// Iota fills dst with 0, 1, 2, ... in parallel.
-func Iota[T Number](procs int, dst []T) {
+// Iota fills dst with 0, 1, 2, ... in parallel on pool p.
+func Iota[T Number](p *Pool, procs int, dst []T) {
 	if serial(procs, len(dst)) {
 		for i := range dst {
 			dst[i] = T(i)
 		}
 		return
 	}
-	Blocks(procs, len(dst), 0, func(lo, hi int) {
+	p.Blocks(procs, len(dst), 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = T(i)
 		}
 	})
 }
 
-// Copy copies src into dst in parallel. The slices must have equal length.
-func Copy[T any](procs int, dst, src []T) {
-	if len(dst) != len(src) {
-		panic("parallel: Copy length mismatch")
-	}
-	if serial(procs, len(src)) {
-		copy(dst, src)
-		return
-	}
-	Blocks(procs, len(src), 0, func(lo, hi int) {
-		copy(dst[lo:hi], src[lo:hi])
-	})
-}
-
-// Sum returns the sum of xs.
-func Sum[T Number](procs int, xs []T) T {
-	if serial(procs, len(xs)) {
-		var total T
-		for _, v := range xs {
-			total += v
-		}
-		return total
-	}
-	return MapReduce(procs, len(xs), func(i int) T { return xs[i] })
-}
-
-// MapReduce sums f(i) over i in [0,n).
-func MapReduce[T Number](procs, n int, f func(i int) T) T {
+// MapReduce sums f(i) over i in [0,n) on pool p.
+func MapReduce[T Number](p *Pool, procs, n int, f func(i int) T) T {
 	procs = Procs(procs)
 	if procs == 1 || n < DefaultGrain {
 		var total T
@@ -245,7 +184,7 @@ func MapReduce[T Number](procs, n int, f func(i int) T) T {
 		return total
 	}
 	partial := make([]T, procs)
-	used := WorkerBlocks(procs, n, func(w, lo, hi int) {
+	used := p.WorkerBlocks(procs, n, func(w, lo, hi int) {
 		var s T
 		for i := lo; i < hi; i++ {
 			s += f(i)
@@ -257,59 +196,4 @@ func MapReduce[T Number](procs, n int, f func(i int) T) T {
 		total += s
 	}
 	return total
-}
-
-// Max returns the maximum element of xs. It panics on an empty slice.
-func Max[T Number](procs int, xs []T) T {
-	if len(xs) == 0 {
-		panic("parallel: Max of empty slice")
-	}
-	procs = Procs(procs)
-	if procs == 1 || len(xs) < DefaultGrain {
-		m := xs[0]
-		for _, v := range xs[1:] {
-			if v > m {
-				m = v
-			}
-		}
-		return m
-	}
-	partial := make([]T, procs)
-	// len(xs) >= DefaultGrain >= procs here, so every worker chunk is
-	// nonempty and partial[:used] is fully initialized.
-	used := WorkerBlocks(procs, len(xs), func(w, lo, hi int) {
-		m := xs[lo]
-		for _, v := range xs[lo+1 : hi] {
-			if v > m {
-				m = v
-			}
-		}
-		partial[w] = m
-	})
-	m := partial[0]
-	for _, v := range partial[1:used] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Count returns the number of i in [0,n) for which pred(i) is true.
-func Count(procs, n int, pred func(i int) bool) int {
-	if Procs(procs) == 1 || n < DefaultGrain {
-		c := 0
-		for i := 0; i < n; i++ {
-			if pred(i) {
-				c++
-			}
-		}
-		return c
-	}
-	return MapReduce(procs, n, func(i int) int {
-		if pred(i) {
-			return 1
-		}
-		return 0
-	})
 }

@@ -26,7 +26,7 @@ func TestForCoversAllIndicesOnce(t *testing.T) {
 	for _, p := range procsCases {
 		for _, n := range []int{0, 1, 100, 10000} {
 			hits := make([]int32, n)
-			For(p, n, func(i int) { atomic.AddInt32(&hits[i], 1) })
+			Default().For(p, n, func(i int) { atomic.AddInt32(&hits[i], 1) })
 			for i, h := range hits {
 				if h != 1 {
 					t.Fatalf("p=%d n=%d: index %d hit %d times", p, n, i, h)
@@ -71,7 +71,7 @@ func TestWorkerBlocksEachWorkerOnce(t *testing.T) {
 		for _, n := range []int{0, 1, 5, 1000} {
 			seen := make([]int32, p)
 			hits := make([]int32, n)
-			used := WorkerBlocks(p, n, func(w, lo, hi int) {
+			used := Default().WorkerBlocks(p, n, func(w, lo, hi int) {
 				atomic.AddInt32(&seen[w], 1)
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&hits[i], 1)
@@ -105,48 +105,22 @@ func TestWorkerBlocksEachWorkerOnce(t *testing.T) {
 	}
 }
 
-func TestDoRunsAll(t *testing.T) {
-	for _, p := range procsCases {
-		var a, b, c atomic.Int32
-		Do(p, func() { a.Add(1) }, func() { b.Add(1) }, func() { c.Add(1) })
-		if a.Load() != 1 || b.Load() != 1 || c.Load() != 1 {
-			t.Fatalf("p=%d: Do missed a task", p)
-		}
-	}
-}
-
 func TestFillIotaCopy(t *testing.T) {
 	for _, p := range procsCases {
 		xs := make([]int64, 5000)
-		Fill(p, xs, 7)
+		Fill(Default(), p, xs, 7)
 		for i, v := range xs {
 			if v != 7 {
 				t.Fatalf("Fill: xs[%d]=%d", i, v)
 			}
 		}
-		Iota(p, xs)
+		Iota(Default(), p, xs)
 		for i, v := range xs {
 			if v != int64(i) {
 				t.Fatalf("Iota: xs[%d]=%d", i, v)
 			}
 		}
-		dst := make([]int64, len(xs))
-		Copy(p, dst, xs)
-		for i := range xs {
-			if dst[i] != xs[i] {
-				t.Fatalf("Copy: dst[%d]=%d", i, dst[i])
-			}
-		}
 	}
-}
-
-func TestCopyLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	Copy(1, make([]int, 3), make([]int, 4))
 }
 
 func TestSumMatchesSerial(t *testing.T) {
@@ -157,44 +131,22 @@ func TestSumMatchesSerial(t *testing.T) {
 		want += xs[i]
 	}
 	for _, p := range procsCases {
-		if got := Sum(p, xs); got != want {
-			t.Fatalf("p=%d: Sum=%d want %d", p, got, want)
+		if got := MapReduce(Default(), p, len(xs), func(i int) int64 { return xs[i] }); got != want {
+			t.Fatalf("p=%d: sum=%d want %d", p, got, want)
 		}
 	}
-}
-
-func TestMaxMatchesSerial(t *testing.T) {
-	xs := make([]int32, 54321)
-	for i := range xs {
-		xs[i] = int32((i * 2654435761) % 1000003)
-	}
-	want := xs[0]
-	for _, v := range xs {
-		if v > want {
-			want = v
-		}
-	}
-	for _, p := range procsCases {
-		if got := Max(p, xs); got != want {
-			t.Fatalf("p=%d: Max=%d want %d", p, got, want)
-		}
-	}
-}
-
-func TestMaxEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	Max(1, []int{})
 }
 
 func TestCount(t *testing.T) {
 	for _, p := range procsCases {
-		got := Count(p, 100000, func(i int) bool { return i%3 == 0 })
+		got := MapReduce(Default(), p, 100000, func(i int) int {
+			if i%3 == 0 {
+				return 1
+			}
+			return 0
+		})
 		if got != 33334 {
-			t.Fatalf("p=%d: Count=%d want 33334", p, got)
+			t.Fatalf("p=%d: count=%d want 33334", p, got)
 		}
 	}
 }
@@ -208,7 +160,8 @@ func TestExScanMatchesSerial(t *testing.T) {
 			}
 			want := make([]int64, n)
 			wantTotal := scanSerial(want, xs)
-			gotTotal := ExScan(p, xs)
+			var s Scan[int64]
+			gotTotal := s.Exclusive(Default(), p, xs, xs)
 			if gotTotal != wantTotal {
 				t.Fatalf("p=%d n=%d: total=%d want %d", p, n, gotTotal, wantTotal)
 			}
@@ -242,32 +195,6 @@ func TestExScanIntoSeparateDst(t *testing.T) {
 	}
 }
 
-func TestInScanMatchesSerial(t *testing.T) {
-	for _, p := range procsCases {
-		for _, n := range []int{0, 1, 100, 100000} {
-			xs := make([]int, n)
-			for i := range xs {
-				xs[i] = i % 7
-			}
-			want := make([]int, n)
-			acc := 0
-			for i := range xs {
-				acc += xs[i]
-				want[i] = acc
-			}
-			total := InScan(p, xs)
-			if total != acc {
-				t.Fatalf("p=%d n=%d: total=%d want %d", p, n, total, acc)
-			}
-			for i := range xs {
-				if xs[i] != want[i] {
-					t.Fatalf("p=%d n=%d: xs[%d]=%d want %d", p, n, i, xs[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 func TestExScanProperty(t *testing.T) {
 	// Property: for random inputs, parallel scan equals the sequential one.
 	f := func(xs []int64) bool {
@@ -275,7 +202,8 @@ func TestExScanProperty(t *testing.T) {
 		copy(cp, xs)
 		want := make([]int64, len(xs))
 		wantTotal := scanSerial(want, xs)
-		gotTotal := ExScan(4, cp)
+		var s Scan[int64]
+		gotTotal := s.Exclusive(Default(), 4, cp, cp)
 		if gotTotal != wantTotal {
 			return false
 		}
@@ -299,7 +227,7 @@ func TestPackMatchesSerial(t *testing.T) {
 				xs[i] = int32(i)
 			}
 			keep := func(i int) bool { return i%7 == 2 }
-			got := Pack(p, xs, keep)
+			got := Pack(Default(), p, xs, keep)
 			want := make([]int32, 0)
 			for i := 0; i < n; i++ {
 				if keep(i) {
@@ -322,7 +250,7 @@ func TestPackIndexMatchesSerial(t *testing.T) {
 	for _, p := range procsCases {
 		n := 50000
 		keep := func(i int) bool { return i%13 == 0 || i%17 == 3 }
-		got := PackIndex(p, n, keep)
+		got := PackIndex(Default(), p, n, keep)
 		want := make([]int32, 0)
 		for i := 0; i < n; i++ {
 			if keep(i) {
@@ -342,33 +270,17 @@ func TestPackIndexMatchesSerial(t *testing.T) {
 
 func TestPackKeepNothingAndEverything(t *testing.T) {
 	xs := []int{1, 2, 3}
-	if got := Pack(2, xs, func(int) bool { return false }); len(got) != 0 {
+	if got := Pack(Default(), 2, xs, func(int) bool { return false }); len(got) != 0 {
 		t.Fatalf("keep-nothing returned %v", got)
 	}
-	got := Pack(2, xs, func(int) bool { return true })
+	got := Pack(Default(), 2, xs, func(int) bool { return true })
 	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
 		t.Fatalf("keep-everything returned %v", got)
 	}
 }
 
-func TestConcatInto(t *testing.T) {
-	for _, p := range procsCases {
-		bufs := [][]int32{{1, 2}, nil, {3}, {}, {4, 5, 6}}
-		got := ConcatInto(p, bufs)
-		want := []int32{1, 2, 3, 4, 5, 6}
-		if len(got) != len(want) {
-			t.Fatalf("p=%d: len=%d", p, len(got))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("p=%d: got[%d]=%d want %d", p, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestMapReduceFloat(t *testing.T) {
-	got := MapReduce(3, 1000, func(i int) float64 { return 0.5 })
+	got := MapReduce(Default(), 3, 1000, func(i int) float64 { return 0.5 })
 	if got != 500 {
 		t.Fatalf("MapReduce float = %v", got)
 	}
@@ -379,11 +291,12 @@ func BenchmarkExScan1M(b *testing.B) {
 	for i := range xs {
 		xs[i] = 1
 	}
+	var s Scan[int64]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ExScan(0, xs)
+		s.Exclusive(Default(), 0, xs, xs)
 		b.StopTimer()
-		Fill(0, xs, 1)
+		Fill(Default(), 0, xs, 1)
 		b.StartTimer()
 	}
 }
@@ -403,7 +316,7 @@ func BenchmarkFor1M(b *testing.B) {
 func TestForGrain(t *testing.T) {
 	for _, p := range procsCases {
 		hits := make([]int32, 3000)
-		ForGrain(p, len(hits), 7, func(i int) { atomic.AddInt32(&hits[i], 1) })
+		Default().ForGrain(p, len(hits), 7, func(i int) { atomic.AddInt32(&hits[i], 1) })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("p=%d: index %d hit %d times", p, i, h)

@@ -44,13 +44,12 @@ type Pool struct {
 // 32 bits of the state word count helpers currently inside the claim loop.
 const closedBit = int64(1) << 32
 
-// task is one parallel section. Exactly one of fnBlock/fnIdx/fnWorker/
-// fnList is set; next is the shared block (or chunk, or function) cursor.
+// task is one parallel section. Exactly one of fnBlock/fnIdx/fnWorker is
+// set; next is the shared block (or chunk) cursor.
 type task struct {
 	fnBlock  func(lo, hi int)
 	fnIdx    func(i int)
 	fnWorker func(worker, lo, hi int)
-	fnList   []func()
 
 	n, grain int
 	nblocks  int
@@ -86,7 +85,7 @@ func (t *task) run() {
 				t.fnIdx(i)
 			}
 		}
-	case t.fnWorker != nil:
+	default:
 		// Chunk index doubles as the worker id: indices are dense in
 		// [0, nblocks) and each is claimed exactly once, whichever
 		// participant ends up running it.
@@ -96,14 +95,6 @@ func (t *task) run() {
 				return
 			}
 			t.fnWorker(w, t.n*w/t.nblocks, t.n*(w+1)/t.nblocks)
-		}
-	default:
-		for {
-			i := int(t.next.Add(1)) - 1
-			if i >= len(t.fnList) {
-				return
-			}
-			t.fnList[i]()
 		}
 	}
 }
@@ -219,16 +210,16 @@ func (p *Pool) exec(t *task, want int) {
 	}
 }
 
-// defaultPool is the shared pool behind the package-level entry points,
-// created on first use and sized to GOMAXPROCS at that moment.
+// defaultPool is the shared pool Default returns, created on first use and
+// sized to GOMAXPROCS at that moment.
 var defaultPool struct {
 	once sync.Once
 	p    *Pool
 }
 
-// Default returns the shared pool used by the package-level functions. It
-// is created on first use, sized to runtime.GOMAXPROCS(0), and never
-// closed.
+// Default returns the shared pool an entry point runs on when its caller
+// supplies none. It is created on first use, sized to
+// runtime.GOMAXPROCS(0), and never closed.
 func Default() *Pool {
 	defaultPool.once.Do(func() {
 		defaultPool.p = NewPool(runtime.GOMAXPROCS(0))

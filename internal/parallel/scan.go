@@ -28,11 +28,11 @@ func blockRange(n, nblocks, b int) (lo, hi int) {
 	return n * b / nblocks, n * (b + 1) / nblocks
 }
 
-// Scan is the one prefix-sum body behind ExScan, ExScanInto and InScan. It
-// cuts its input into blockCount blocks; one pass sums every block, a serial
-// scan turns the block sums into block offsets, and a second pass rescans
-// every block from its offset. Both passes are dispatched one block per
-// claim on the caller's pool, so they fork whenever it has a second worker.
+// Scan is the one prefix-sum body, behind ExScanInto too. It cuts its input
+// into blockCount blocks; one pass sums every block, a serial scan turns the
+// block sums into block offsets, and a second pass rescans every block from
+// its offset. Both passes are dispatched one block per claim on the caller's
+// pool, so they fork whenever it has a second worker.
 //
 // The zero Scan is ready to use, and it must not be copied after first use.
 // Keeping one across calls, as the contraction machine does, binds its two
@@ -41,38 +41,20 @@ func blockRange(n, nblocks, b int) (lo, hi int) {
 // time.
 type Scan[T Number] struct {
 	dst, src, sums []T
-	inclusive      bool
 	fnSum, fnApply func(lo, hi int)
 }
 
 // Exclusive writes the exclusive prefix sum of src into dst (which may alias
 // src) on pool p and returns the total: afterwards dst[i] holds the sum of
-// src[0..i).
+// src[0..i). This is the "plus-scan" used throughout the paper's
+// implementation for computing offsets into shared arrays.
 func (s *Scan[T]) Exclusive(p *Pool, procs int, dst, src []T) T {
 	if len(dst) != len(src) {
 		panic("parallel: ExScanInto length mismatch")
 	}
-	return s.run(p, procs, dst, src, false)
-}
-
-// Inclusive replaces xs by its inclusive prefix sum on pool p and returns the
-// total: afterwards xs[i] holds the sum of the original xs[0..i].
-func (s *Scan[T]) Inclusive(p *Pool, procs int, xs []T) T {
-	return s.run(p, procs, xs, xs, true)
-}
-
-func (s *Scan[T]) run(p *Pool, procs int, dst, src []T, inclusive bool) T {
 	nblocks := blockCount(procs, len(src))
 	if nblocks == 1 {
-		if !inclusive {
-			return scanSerial(dst, src)
-		}
-		var acc T
-		for i, v := range src {
-			acc += v
-			dst[i] = acc
-		}
-		return acc
+		return scanSerial(dst, src)
 	}
 	if s.fnSum == nil {
 		s.bind()
@@ -81,7 +63,7 @@ func (s *Scan[T]) run(p *Pool, procs int, dst, src []T, inclusive bool) T {
 		s.sums = make([]T, nblocks)
 	}
 	s.sums = s.sums[:nblocks]
-	s.dst, s.src, s.inclusive = dst, src, inclusive
+	s.dst, s.src = dst, src
 	p.Blocks(procs, nblocks, 1, s.fnSum)
 	total := scanSerial(s.sums, s.sums)
 	p.Blocks(procs, nblocks, 1, s.fnApply)
@@ -106,13 +88,6 @@ func (s *Scan[T]) bind() {
 		for b := lo; b < hi; b++ {
 			l, h := blockRange(len(src), len(s.sums), b)
 			acc := s.sums[b]
-			if s.inclusive {
-				for i := l; i < h; i++ {
-					acc += src[i]
-					dst[i] = acc
-				}
-				continue
-			}
 			for i := l; i < h; i++ {
 				v := src[i]
 				dst[i] = acc
@@ -122,24 +97,10 @@ func (s *Scan[T]) bind() {
 	}
 }
 
-// ExScan computes the exclusive prefix sum of xs in place and returns the
-// total: afterwards xs[i] holds the sum of the original xs[0..i). This is the
-// "plus-scan" used throughout the paper's implementation for computing
-// offsets into shared arrays.
-func ExScan[T Number](procs int, xs []T) T {
-	return ExScanInto(procs, xs, xs)
-}
-
-// ExScanInto computes the exclusive prefix sum of src into dst (which may
-// alias src) on the default pool and returns the total.
+// ExScanInto is Scan.Exclusive on the default pool with a fresh Scan. It is
+// kept for the benchmark program's layer probes (perfbench/trace.go);
+// library code keeps a Scan and passes its pool.
 func ExScanInto[T Number](procs int, dst, src []T) T {
 	var s Scan[T]
 	return s.Exclusive(Default(), procs, dst, src)
-}
-
-// InScan computes the inclusive prefix sum of xs in place on the default
-// pool: afterwards xs[i] holds the sum of the original xs[0..i].
-func InScan[T Number](procs int, xs []T) T {
-	var s Scan[T]
-	return s.Inclusive(Default(), procs, xs)
 }

@@ -44,9 +44,10 @@ func Spanner(g *Graph, opt SpannerOptions) ([]Edge, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	w := decomp.NewWGraph(g.g, procs)
+	pool := parallel.Default()
+	w := decomp.NewWGraph(pool, procs, g.g)
 	res, err := decomp.Decompose(w, decomp.Arb, decomp.Options{
-		Beta: opt.Beta, Seed: opt.Seed, Procs: procs, WantParents: true,
+		Beta: opt.Beta, Seed: opt.Seed, Procs: procs, WantParents: true, Pool: pool,
 	})
 	if err != nil {
 		return nil, err
@@ -65,7 +66,7 @@ func Spanner(g *Graph, opt SpannerOptions) ([]Edge, error) {
 	// entries are (source vertex v, target cluster D); pick one per
 	// unordered cluster pair via the hash set, then recover a concrete
 	// original edge by rescanning v's adjacency for a neighbor in D.
-	seen := hashtable.NewSet(procs, int(w.LiveEdges(procs))+1)
+	seen := hashtable.NewSet(pool, procs, int(w.LiveEdges(pool, procs))+1)
 	for v := 0; v < n; v++ {
 		cv := clusters[v]
 		base := w.Offs[v]

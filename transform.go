@@ -1,12 +1,15 @@
 package parconn
 
-import "parconn/internal/graph"
+import (
+	"parconn/internal/graph"
+	"parconn/internal/parallel"
+)
 
 // InducedSubgraph returns the subgraph induced by the vertices with
 // keep[v] == true and the mapping from new vertex ids to original ids.
 // keep must have length NumVertices.
 func InducedSubgraph(g *Graph, keep []bool, procs int) (*Graph, []int32) {
-	sub, orig := graph.InducedSubgraph(g.g, keep, procs)
+	sub, orig := graph.InducedSubgraph(parallel.Default(), procs, g.g, keep)
 	return &Graph{g: sub}, orig
 }
 
@@ -14,7 +17,7 @@ func InducedSubgraph(g *Graph, keep []bool, procs int) (*Graph, []int32) {
 // (as returned by ConnectedComponents) and the new-to-original vertex
 // mapping.
 func LargestComponent(g *Graph, labels []int32, procs int) (*Graph, []int32) {
-	sub, orig := graph.LargestComponent(g.g, labels, procs)
+	sub, orig := graph.LargestComponent(parallel.Default(), procs, g.g, labels)
 	return &Graph{g: sub}, orig
 }
 
