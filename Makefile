@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-short bench bench-smoke trace-smoke metrics-smoke perfbench-check perfbench-pairs vet check fmt fmt-check repro repro-quick examples clean
+.PHONY: all build test race race-short bench bench-smoke trace-smoke metrics-smoke perfbench-check perfbench-pairs vet check fmt fmt-check loc repro repro-quick examples clean
 
 all: check test build
 
@@ -102,6 +102,14 @@ examples:
 	$(GO) run ./examples/imagesegment
 	$(GO) run ./examples/netreliability
 	$(GO) run ./examples/streaming
+
+# Lines of non-test Go outside perfbench/ and the analyzer's testdata: the
+# size figure ROADMAP.md and CHANGES.md report, so every change counts it
+# the same way.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './perfbench/*' \
+		-not -path './internal/analysis/testdata/*' -not -path './results_csv/*' \
+		-not -path './.*' | xargs cat | wc -l
 
 clean:
 	rm -rf results_csv

@@ -107,8 +107,10 @@ func BenchmarkCCAllocs(b *testing.B) {
 // TestCCAllocsProcs2 pins BenchmarkCCAllocs' inputs at two workers. Every
 // parallel section that forks costs parallel.SectionAllocs in Pool.exec,
 // its task and its done channel, and how many sections fork depends on the
-// tuner's timing-driven grain choices. So the test subtracts that fixed
-// cost per counted section and pins the rest: the result labels plus the
+// host's CPU count and, through the grain rule, on each round's frontier
+// and its predecessor's lost CAS races, which vary run to run at two
+// workers. So the test subtracts that fixed cost per counted section and
+// pins the rest: the result labels plus the
 // bodies and scratch that are bound or grown once per machine. The
 // ceilings are the counts measured on a 2-CPU host once level entry (the
 // working-graph copy, the decomposition's entry pass and fills) also ran

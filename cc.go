@@ -155,8 +155,10 @@ type Options struct {
 	Dedup DedupMode
 	// EdgeParallel, when positive, scans the adjacency lists of frontier
 	// vertices with at least this many live edges using nested parallelism
-	// (the paper's optional high-degree optimization, §4; DecompArb only).
-	// Zero disables it, matching the paper's final configuration.
+	// (the paper's optional high-degree optimization, §4). Only DecompArb
+	// reads it; every other algorithm rejects a non-zero value. Zero means
+	// the adaptive cutoff, which scales with the level's live edges per
+	// worker and is off at one worker.
 	EdgeParallel int
 	// Recorder, if non-nil, receives the structured observability event
 	// stream: run start/end for every algorithm, plus per-level, per-round,
@@ -179,20 +181,16 @@ func (o Options) validate() error {
 		if o.DenseFrac != 0 && !(o.DenseFrac > 0 && o.DenseFrac <= 1) {
 			return fmt.Errorf("parconn: DenseFrac %v outside (0,1]; zero selects the default 0.2", o.DenseFrac)
 		}
-		if o.EdgeParallel < 0 {
-			return fmt.Errorf("parconn: EdgeParallel %d is negative", o.EdgeParallel)
-		}
 	case LDDUnionFind:
 		if o.Beta != 0 && !(o.Beta > 0 && o.Beta < 1) {
 			return fmt.Errorf("parconn: Beta %v outside (0,1); zero selects the default 0.2", o.Beta)
 		}
-		if o.EdgeParallel != 0 {
-			return fmt.Errorf("parconn: EdgeParallel is only meaningful for the decomposition algorithms, not %v", o.Algorithm)
-		}
-	default:
-		if o.EdgeParallel != 0 {
-			return fmt.Errorf("parconn: EdgeParallel is only meaningful for the decomposition algorithms, not %v", o.Algorithm)
-		}
+	}
+	if o.EdgeParallel < 0 {
+		return fmt.Errorf("parconn: EdgeParallel %d is negative", o.EdgeParallel)
+	}
+	if o.EdgeParallel != 0 && o.Algorithm != DecompArb {
+		return fmt.Errorf("parconn: EdgeParallel is only read by %v, not %v", DecompArb, o.Algorithm)
 	}
 	return nil
 }

@@ -13,8 +13,9 @@ import (
 //     sort vs none (the paper notes correctness is preserved without
 //     dedup; this quantifies the cost),
 //  2. the direction-optimizing threshold of decomp-arb-hybrid (paper: 20%),
-//  3. the §4 high-degree edge-parallel inner loop, off (paper's final
-//     choice) vs on, on a hub-heavy graph.
+//  3. the §4 high-degree edge-parallel inner loop: the adaptive cutoff
+//     (the default; off at one worker, as in the paper's final choice) vs
+//     fixed thresholds, on a hub-heavy graph.
 func Ablation(cfg Config) {
 	cfg = cfg.withDefaults()
 
@@ -81,7 +82,7 @@ func Ablation(cfg Config) {
 		g := parconn.RMatGraph(logScaled(16, cfg.Scale), parconn.RMatOptions{EdgeFactor: 30, Seed: cfg.Seed})
 		t := NewTable("Config", "time (s)")
 		for _, thr := range []int{0, 1 << 12, 1 << 10, 1 << 8} {
-			label := "off (paper default)"
+			label := "adaptive (default)"
 			if thr > 0 {
 				label = fmt.Sprintf("threshold=%d", thr)
 			}

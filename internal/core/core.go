@@ -88,9 +88,9 @@ type Options struct {
 	DenseFrac float64
 	// EdgeParallel, when positive, processes edge lists of frontier
 	// vertices with at least this degree using nested parallelism (§4's
-	// optional high-degree optimization; Arb variant). Zero picks an
-	// adaptive cutoff per level from the live edge count (DESIGN.md §12);
-	// set it negative to disable nested parallelism entirely.
+	// optional high-degree optimization; only the Arb variant reads it).
+	// Zero means the adaptive cutoff, which scales with the level's live
+	// edge count and is off at one worker (parallel.EdgeParallelCutoff).
 	EdgeParallel int
 	// Dedup selects duplicate-edge removal during contraction.
 	Dedup DedupMode
@@ -127,11 +127,6 @@ type ccMachine struct {
 	procs   int
 	opt     Options
 	scratch decomp.Scratch
-	// tuner is the run's adaptive scheduler (DESIGN.md §12); it is threaded
-	// into every decomposition via Options.Tuner so the contract loops and
-	// the BFS rounds share one cost EWMA, which persists across pooled CC
-	// calls (machinePool) like the closures do.
-	tuner parallel.Tuner
 
 	// levels[k] is level k's working graph (level 0 copies the input, its
 	// Offs shared with the caller's graph; deeper levels are arena-backed).
@@ -340,9 +335,9 @@ func CC(g *graph.Graph, opt Options) ([]int32, error) {
 	tSetup := now()
 	m := machinePool.Get().(*ccMachine)
 	m.opt = opt
-	// Procs is a bound; the tuner narrows it to the physical CPU count
-	// (oversubscribed workers only add preemption; DESIGN.md §12).
-	m.procs = m.tuner.Workers(opt.Procs)
+	// Procs is a bound; narrow it to the physical CPU count (oversubscribed
+	// workers only add preemption; DESIGN.md §12).
+	m.procs = parallel.Workers(opt.Procs)
 	m.pool = opt.Pool
 	if m.pool == nil {
 		m.pool = parallel.Default()
@@ -401,12 +396,12 @@ func (m *ccMachine) ccLevel(w *decomp.WGraph, level int, edges int64) ([]int32, 
 	}
 	procs := m.procs
 	rec := m.opt.Recorder
-	// Tiny-level fast path (DESIGN.md §12): below the tuner's threshold the
-	// whole level — decomposition rounds and contraction — runs with one
-	// worker; the late levels are a long tail of sub-millisecond graphs
-	// whose parallel sections would be pure fork/join overhead.
-	tiny := m.tuner.SerialLevel(w.N, edges)
-	if tiny {
+	// Tiny-level fast path (DESIGN.md §12): below parallel.SerialLevel's
+	// threshold the whole level — decomposition rounds and contraction —
+	// runs with one worker; the late levels are a long tail of
+	// sub-millisecond graphs whose parallel sections would be pure
+	// fork/join overhead.
+	if parallel.SerialLevel(w.N, edges) {
 		procs = 1
 	}
 
@@ -425,7 +420,6 @@ func (m *ccMachine) ccLevel(w *decomp.WGraph, level int, edges int64) ([]int32, 
 		Pool:         m.pool,
 		Workspace:    m.ws,
 		Scratch:      &m.scratch,
-		Tuner:        &m.tuner,
 	}
 	var res decomp.Result
 	var err error
@@ -535,7 +529,7 @@ func (m *ccMachine) relabelUp(procs int, labels, rep, subLabels []int32) {
 
 // pairGrain is the vertex block size of contract's pair gather, whose
 // per-block counts are its output offsets.
-const pairGrain = 4 * parallel.FrontierGrain
+const pairGrain = 4 * parallel.BaseFrontierGrain
 
 // contract builds the next-level working graph into sub with procs workers
 // (one on a tiny level, where no section forks): components become

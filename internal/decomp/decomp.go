@@ -84,12 +84,12 @@ type Options struct {
 	// high-degree vertices the inner sequential for-loops ... can be
 	// replaced with a parallel for-loop, marking the deleted edges with a
 	// special value and packing the edges with a parallel prefix sums").
-	// Zero means adaptive: the tuner derives a cutoff from the level's
-	// live edge count and worker count (parallel.Tuner.EdgeParallelCutoff),
-	// which only fires on lists that are a meaningful fraction of the
-	// level's work — effectively off for the paper's inputs, matching its
-	// final configuration, without leaving star-like graphs serialized on
-	// one hub. Currently honored by the Arb variant.
+	// Zero means the adaptive cutoff (parallel.EdgeParallelCutoff): it
+	// scales with the level's live edge count per worker and is off at one
+	// worker, so it only fires on lists that are a meaningful fraction of
+	// the level's work — effectively off for the paper's inputs, matching
+	// its final configuration, without leaving star-like graphs serialized
+	// on one hub. Only the Arb variant reads it.
 	EdgeParallel int
 	// Recorder, if non-nil, receives the structured event stream (one Round
 	// event per BFS round, per-phase durations, CAS retry counts); see
@@ -120,11 +120,6 @@ type Options struct {
 	// steady state allocates no closures. Must not be shared by
 	// concurrent Decompose calls.
 	Scratch *Scratch
-	// Tuner, if non-nil, supplies the adaptive scheduling decisions (grain
-	// sizes, edge-parallel cutoff) and accumulates cost observations across
-	// calls; nil uses the Scratch's tuner (one per recursion). Like
-	// Scratch, it must not be shared by concurrent Decompose calls.
-	Tuner *parallel.Tuner
 }
 
 // resolve returns the effective pool and arena for opt.
@@ -203,24 +198,26 @@ func Decompose(g *WGraph, variant Variant, opt Options) (Result, error) {
 	if err := opt.validate(); err != nil {
 		return Result{}, err
 	}
+	if variant < Min || variant > ArbHybrid {
+		//parconn:allow hotalloc cold error path for an unknown variant
+		return Result{}, fmt.Errorf("decomp: unknown variant %d", int(variant))
+	}
+	if g.N == 0 {
+		//parconn:allow hotalloc empty-graph base case; a zero-length literal is the zerobase pointer, not a heap block
+		return Result{Labels: []int32{}}, nil
+	}
 	sc := opt.Scratch
 	if sc == nil {
 		//parconn:allow hotalloc fallback scratch for one-shot callers; level loops pass a reusable Scratch
 		sc = &Scratch{}
-	}
-	if opt.Tuner == nil {
-		opt.Tuner = &sc.tuner
 	}
 	switch variant {
 	case Min:
 		return sc.minM().run(g, opt), nil
 	case Arb:
 		return sc.arbM().run(g, opt), nil
-	case ArbHybrid:
-		return sc.hybridM().run(g, opt), nil
 	default:
-		//parconn:allow hotalloc cold error path for an unknown variant
-		return Result{}, fmt.Errorf("decomp: unknown variant %d", int(variant))
+		return sc.hybridM().run(g, opt), nil
 	}
 }
 

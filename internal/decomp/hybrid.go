@@ -31,48 +31,27 @@ import (
 // processed vertex's own list — no random store queues ahead of a claim
 // CAS (DESIGN.md §9, "Latency-tolerant claim loop").
 //
-// The loop bodies are bound once (see Scratch); per-round state flows
-// through the fields, written only by the coordinator between parallel
-// sections.
-
+// Its round step is that choice plus the chosen pass; filterEdges runs
+// after the shared frontier's round loop.
 type hybridMachine struct {
-	procs int
-	g     *WGraph
+	frontier
+	frontRound  []int32
+	frontFilled bool
+	r32         int32
+	// explored estimates the edge mass of frontiers already processed, so
+	// liveEdges-explored bounds the edges a dense pass could still touch.
+	explored       int64
+	denseThreshold int
 
-	c, frontRound, perm []int32
-	front, cur, nxt     []int32
-	base                int
-	r32                 int32
-	cursor              atomic.Int64
-	retries             *obs.ShardedInt64
-	liveOut             *obs.ShardedInt64
-	draw                *shiftDraw
-
-	fnPre, fnDense, fnDenseFront, fnSparse, fnFilter func(lo, hi int)
-	fnFrontFill                                      func(lo, hi int)
+	fnDense, fnDenseFront, fnSparse, fnFilter, fnFrontFill func(lo, hi int)
 }
 
 //parconn:allow hotalloc machine is constructed once per Scratch and recycled across levels and runs
 func newHybridMachine() *hybridMachine {
-	m := &hybridMachine{retries: obs.NewShardedInt64(retryShards),
-		liveOut: obs.NewShardedInt64(retryShards), draw: newShiftDraw()}
-	// bfsPre: start new BFS's from the permutation prefix whose simulated
-	// shift falls below the current round (paper lines 5-6).
-	m.fnPre = func(lo, hi int) {
-		perm, c := m.perm, m.c
-		base := m.base
-		out := parallel.NewAppender(m.front, &m.cursor)
-		for i := lo; i < hi; i++ {
-			v := perm[base+i]
-			// perm is a permutation, so only this iteration touches c[v];
-			// CAS rounds are barrier-separated from this plain-write pass.
-			if c[v] == unvisited {
-				c[v] = v
-				out.Push(v)
-			}
-		}
-		out.Flush()
-	}
+	m := &hybridMachine{}
+	m.init()
+	m.bindArbPre()
+	m.step = m.roundStep
 	// Read-based pass with fused edge deletion: every unvisited vertex
 	// looks for any neighbor on the current frontier and adopts its
 	// component (early exit, as in the paper's §4); a vertex that adopts
@@ -247,165 +226,64 @@ func newHybridMachine() *hybridMachine {
 	return m
 }
 
+// roundStep is the hybrid's round step: the direction choice, then the
+// chosen pass. The choice stays the paper's vertex-fraction rule. (An
+// edge-mass rule — go dense when few frontier vertices own most edges — was
+// tried and measured slower on skewed graphs: with a small frontier the
+// read pass loses its early exit and scans nearly every unexplored list to
+// the end.)
+func (m *hybridMachine) roundStep(round int) bool {
+	n, curN := m.g.N, len(m.cur)
+	dense := curN > m.denseThreshold
+	if dense {
+		if !m.frontFilled {
+			m.pool.Blocks(m.procs, n, 0, m.fnFrontFill)
+			m.frontFilled = true
+		}
+		m.r32 = int32(round)
+		m.pool.Blocks(m.procs, curN, 0, m.fnDenseFront)
+		// The dense pass scans every vertex and at worst the unexplored
+		// lists.
+		unexplored := max(m.liveEdges-m.explored, 0)
+		m.pool.Blocks(m.procs, n, parallel.FrontierGrain(m.procs, n, int64(n)+unexplored, 0), m.fnDense)
+	} else {
+		m.pool.Blocks(m.procs, curN, m.sparseGrain(), m.fnSparse)
+	}
+	m.explored += int64(curN) * m.avgDeg
+	return dense
+}
+
 func (m *hybridMachine) run(g *WGraph, opt Options) Result {
-	n, procs := g.N, opt.Procs
-	if n == 0 {
-		//parconn:allow hotalloc empty-graph base case; a zero-length literal is the zerobase pointer, not a heap block
-		return Result{Labels: []int32{}}
-	}
 	t0 := now()
-	pool, ws := opt.resolve()
-	tn := opt.Tuner
-	// Procs is a bound; narrow it to the physical CPU count (DESIGN.md §12).
-	procs = tn.Workers(procs)
-	m.procs, m.g = procs, g
-	// Level-entry edge count (Offs is the frozen CSR layout). Per-round edge
-	// masses for the tuner are estimated as frontier × average degree: exact
-	// tracking (summing claimed vertices' degrees) was measured to cost more
-	// than it buys — one extra random Deg load per claimed vertex, a cache
-	// miss each — and the grain decision only needs the magnitude.
-	liveEdges := g.Offs[n]
-	avgDeg := liveEdges / int64(n)
-	if avgDeg < 1 {
-		avgDeg = 1
-	}
-	rec := opt.Recorder
-	m.retries.Reset()
-	m.liveOut.Reset()
-
-	c := ws.Int32(n)
+	m.begin(g, opt)
+	n := g.N
+	m.explored = 0
+	m.denseThreshold = int(opt.DenseFrac * float64(n))
+	c := m.ws.Int32(n)
 	m.c = c
-	sh := m.draw.newShifts(pool, entry{deg: g.Deg, c: c}, opt.Beta, opt.Seed, procs, ws)
-	m.perm = sh.order
-	live := sh.live()
-	var bufs [2][]int32
-	bufs[0] = ws.Int32(n)
-	bufs[1] = ws.Int32(n)
-	curBuf, curN := 0, 0
-	phInit := time.Since(t0)
-
-	var phPre, phDense, phSparse time.Duration
-	var prevRetries, retryDelta int64
-	// explored estimates the edge mass of frontiers already processed, so
-	// liveEdges-explored bounds the edges a dense pass could still touch.
-	var explored int64
-	denseThreshold := int(opt.DenseFrac * float64(n))
-	permPtr, visited, round := 0, 0, 0
-	numCenters, workRounds := sh.settle(rec, opt.Level)
-	for visited < live {
-		tPre := now()
-		if curN == 0 && permPtr < live {
-			round = sh.fastForward(round, permPtr)
-		}
-		end := sh.end(round)
-		added := 0
-		if end > permPtr {
-			m.cursor.Store(int64(curN))
-			m.front = bufs[curBuf]
-			m.base = permPtr
-			pool.Blocks(procs, end-permPtr, 0, m.fnPre)
-			permPtr = end
-			added = int(m.cursor.Load()) - curN
-			curN += added
-			numCenters += added
-		}
-		dPre := time.Since(tPre)
-		phPre += dPre
-		if curN == 0 {
-			if permPtr >= live {
-				break // all vertices visited; loop condition ends next check
-			}
-			// The chunk just scanned was entirely already-visited; advance
-			// to the next round that yields new centers.
-			continue
-		}
-		// Direction choice stays the paper's vertex-fraction rule. (An
-		// edge-mass rule — go dense when few frontier vertices own most
-		// edges — was tried and measured slower on skewed graphs: with a
-		// small frontier the read pass loses its early exit and scans
-		// nearly every unexplored list to the end.)
-		curEdges := int64(curN) * avgDeg
-		unexplored := liveEdges - explored
-		if unexplored < 0 {
-			unexplored = 0
-		}
-		dense := curN > denseThreshold
-		m.cur = bufs[curBuf][:curN]
-		m.nxt = bufs[1-curBuf]
-		m.cursor.Store(0)
-
-		// Re-tune at the round boundary: estimated edge work for this round
-		// (the sparse pass scans the frontier's edge mass, the dense pass
-		// at worst the unexplored lists), previous round's contention, and
-		// the measured wall time fed back into the cost EWMA.
-		var dRound time.Duration
-		var roundEdges int64
-		if dense {
-			tDense := now()
-			if m.frontRound == nil {
-				// frontRound[v] is the last round at which v was on a dense
-				// round's frontier; the dense pass tests membership with it
-				// instead of a bitmap (no per-round clearing needed). Levels
-				// that never go dense never acquire it.
-				m.frontRound = ws.Int32(n)
-				pool.Blocks(procs, n, 0, m.fnFrontFill)
-			}
-			m.r32 = int32(round)
-			pool.Blocks(procs, curN, 0, m.fnDenseFront)
-			roundEdges = unexplored
-			pool.Blocks(procs, n, tn.FrontierGrain(procs, n, int64(n)+roundEdges, 0), m.fnDense)
-			dRound = time.Since(tDense)
-			phDense += dRound
-		} else {
-			tSparse := now()
-			roundEdges = curEdges
-			pool.Blocks(procs, curN, tn.FrontierGrain(procs, curN, roundEdges, retryDelta), m.fnSparse)
-			dRound = time.Since(tSparse)
-			phSparse += dRound
-		}
-		tn.Observe(roundEdges, dRound)
-		sum := m.retries.Sum()
-		retryDelta, prevRetries = sum-prevRetries, sum
-		if rec != nil {
-			rec.Round(obs.Round{
-				Level: opt.Level, Round: round, Frontier: curN, NewCenters: added,
-				Dense: dense, Duration: dPre + dRound, CASRetries: retryDelta,
-			})
-		}
-		// Count the frontier we just processed as visited (paper line 7);
-		// counting at claim time instead would end the loop before the last
-		// frontier's edges are classified.
-		visited += curN
-		explored += curEdges
-		curBuf = 1 - curBuf
-		curN = int(m.cursor.Load())
-		round++
-		workRounds++
+	if m.denseThreshold < n {
+		// frontRound[v] is the last round at which v was on a dense
+		// round's frontier; the dense pass tests membership with it
+		// instead of a bitmap (no per-round clearing needed). It is filled
+		// only at the level's first dense round, so a level that never
+		// goes dense holds it but never touches it.
+		m.frontRound, m.frontFilled = m.ws.Int32(n), false
 	}
+	st := m.rounds(opt, entry{deg: g.Deg, c: c}, t0)
 
 	tFilter := now()
-	pool.Blocks(procs, n, tn.FrontierGrain(procs, n, liveEdges, 0), m.fnFilter)
+	m.pool.Blocks(m.procs, n, parallel.FrontierGrain(m.procs, n, m.liveEdges, 0), m.fnFilter)
 	dFilter := time.Since(tFilter)
-
-	if rec != nil {
-		rec.Phase(obs.Phase{Level: opt.Level, Name: obs.PhaseInit, Duration: phInit})
-		rec.Phase(obs.Phase{Level: opt.Level, Name: obs.PhaseBFSPre, Duration: phPre})
-		rec.Phase(obs.Phase{Level: opt.Level, Name: obs.PhaseBFSSparse, Duration: phSparse})
-		rec.Phase(obs.Phase{Level: opt.Level, Name: obs.PhaseBFSDense, Duration: phDense})
+	if rec := opt.Recorder; rec != nil {
+		st.phases(rec, opt.Level)
+		rec.Phase(obs.Phase{Level: opt.Level, Name: obs.PhaseBFSSparse, Duration: st.sparse})
+		rec.Phase(obs.Phase{Level: opt.Level, Name: obs.PhaseBFSDense, Duration: st.dense})
 		rec.Phase(obs.Phase{Level: opt.Level, Name: obs.PhaseFilterEdges, Duration: dFilter})
 	}
-
-	// Release everything but the labels, whose ownership transfers to the
-	// caller, and drop the machine's aliases so the arena's next owner of
-	// these buffers is truly exclusive.
-	sh.release(ws)
-	ws.PutInt32(bufs[0])
-	ws.PutInt32(bufs[1])
 	if m.frontRound != nil {
-		ws.PutInt32(m.frontRound)
+		m.ws.PutInt32(m.frontRound)
 	}
-	m.g, m.c, m.frontRound, m.perm, m.front, m.cur, m.nxt = nil, nil, nil, nil, nil, nil, nil
-	//parconn:allow scratchlifetime Labels ownership transfers to the caller, who releases it after RELABELUP (see the comment above)
-	return Result{Labels: c, NumCenters: numCenters, Rounds: workRounds,
-		CASRetries: m.retries.Sum(), EdgesOut: m.liveOut.Sum()}
+	m.c, m.frontRound = nil, nil
+	//parconn:allow scratchlifetime Labels ownership transfers to the caller, who releases it after RELABELUP
+	return m.result(c, st)
 }

@@ -54,39 +54,28 @@ func writeMin(loc *int64, val int64) (changed bool, lost int64) {
 
 // minMachine is the original Miller et al. decomposition with deterministic
 // smallest-shift tie-breaking; two passes over the frontier's edges per
-// round (paper Algorithm 2). The loop bodies are bound once (see Scratch);
-// per-round state flows through the fields, written only by the coordinator
-// between parallel sections.
+// round (paper Algorithm 2) make its round step, and unsigning the
+// surviving edges and extracting the labels its end-of-level pass. The
+// round loop is the shared frontier's.
 type minMachine struct {
-	procs int
-	g     *WGraph
+	frontier
+	pairs     []int64 // the packed (c1, c2) slot of every vertex
+	deltaFrac []int32
+	labels    []int32
+	seed      uint64
+	phase1    time.Duration
 
-	c               []int64
-	deltaFrac       []int32
-	perm, front     []int32
-	cur, nxt        []int32
-	base            int
-	labels          []int32
-	cursor          atomic.Int64
-	retries         *obs.ShardedInt64
-	liveOut         *obs.ShardedInt64
-	draw            *shiftDraw
-	fnPre, fnPhase1 func(lo, hi int)
-	fnPhase2        func(lo, hi int)
-	fnUnsign        func(lo, hi int)
-	fnLabels        func(lo, hi int)
-	fnFrac          func(lo, hi int)
-	seed            uint64
+	fnPhase1, fnPhase2, fnUnsign, fnLabels, fnFrac func(lo, hi int)
 }
 
 //parconn:allow hotalloc machine is constructed once per Scratch and recycled across levels and runs
 func newMinMachine() *minMachine {
-	m := &minMachine{retries: obs.NewShardedInt64(retryShards),
-		liveOut: obs.NewShardedInt64(retryShards), draw: newShiftDraw()}
+	m := &minMachine{}
+	m.init()
 	// bfsPre: start new BFS's from the permutation prefix whose simulated
 	// shift falls below the current round.
 	m.fnPre = func(lo, hi int) {
-		perm, c := m.perm, m.c
+		perm, c := m.perm, m.pairs
 		base := m.base
 		out := parallel.NewAppender(m.front, &m.cursor)
 		for i := lo; i < hi; i++ {
@@ -100,12 +89,22 @@ func newMinMachine() *minMachine {
 		}
 		out.Flush()
 	}
+	// Both phases sweep the same frontier edge set, so they share one
+	// grain decision.
+	m.step = func(int) bool {
+		grain := m.sparseGrain()
+		t1 := now()
+		m.pool.Blocks(m.procs, len(m.cur), grain, m.fnPhase1)
+		m.phase1 += time.Since(t1)
+		m.pool.Blocks(m.procs, len(m.cur), grain, m.fnPhase2)
+		return false
+	}
 	// Phase 1 (paper lines 9-23): mark unvisited neighbors with writeMin;
 	// edges to already-visited neighbors are classified now.
 	// Lost writeMin races accumulate in a block-local counter flushed once
 	// per claimed block — never a Recorder call from inside the section.
 	m.fnPhase1 = func(lo, hi int) {
-		g, c, deltaFrac, cur := m.g, m.c, m.deltaFrac, m.cur
+		g, c, deltaFrac, cur := m.g, m.pairs, m.deltaFrac, m.cur
 		var casFail int64
 		for fi := lo; fi < hi; fi++ {
 			v := cur[fi]
@@ -142,7 +141,7 @@ func newMinMachine() *minMachine {
 	// Phase 2 (paper lines 24-39): the centers whose mark survived claim
 	// their neighbors with a CAS; remaining edges are classified.
 	m.fnPhase2 = func(lo, hi int) {
-		g, c, deltaFrac, cur := m.g, m.c, m.deltaFrac, m.cur
+		g, c, deltaFrac, cur := m.g, m.pairs, m.deltaFrac, m.cur
 		out := parallel.NewAppender(m.nxt, &m.cursor)
 		var casFail, kept int64
 		for fi := lo; fi < hi; fi++ {
@@ -212,7 +211,7 @@ func newMinMachine() *minMachine {
 	}
 	// Extract the component ids out of the packed pairs.
 	m.fnLabels = func(lo, hi int) {
-		c, labels := m.c, m.labels
+		c, labels := m.pairs, m.labels
 		// Read-only extraction after the last phase's join barrier; no
 		// writer is live.
 		for v := lo; v < hi; v++ {
@@ -223,133 +222,30 @@ func newMinMachine() *minMachine {
 }
 
 func (m *minMachine) run(g *WGraph, opt Options) Result {
-	n, procs := g.N, opt.Procs
-	if n == 0 {
-		//parconn:allow hotalloc empty-graph base case; a zero-length literal is the zerobase pointer, not a heap block
-		return Result{Labels: []int32{}}
-	}
 	t0 := now()
-	pool, ws := opt.resolve()
-	tn := opt.Tuner
-	// Procs is a bound; narrow it to the physical CPU count (DESIGN.md §12).
-	procs = tn.Workers(procs)
-	m.procs, m.g = procs, g
-	// Per-round edge masses for the tuner are estimated as frontier ×
-	// average degree; exact tracking costs a random Deg load per claim.
-	avgDeg := g.Offs[n] / int64(n)
-	if avgDeg < 1 {
-		avgDeg = 1
-	}
-	rec := opt.Recorder
-	m.retries.Reset()
-	m.liveOut.Reset()
+	m.begin(g, opt)
+	n, ws := g.N, m.ws
+	m.phase1 = 0
+	m.pairs, m.deltaFrac, m.seed = ws.Int64(n), ws.Int32(n), opt.Seed
+	m.pool.Blocks(m.procs, n, 0, m.fnFrac)
+	st := m.rounds(opt, entry{deg: g.Deg, pairs: m.pairs}, t0)
 
-	c := ws.Int64(n)
-	deltaFrac := ws.Int32(n)
-	m.c, m.deltaFrac, m.seed = c, deltaFrac, opt.Seed
-	pool.Blocks(procs, n, 0, m.fnFrac)
-	sh := m.draw.newShifts(pool, entry{deg: g.Deg, pairs: c}, opt.Beta, opt.Seed, procs, ws)
-	m.perm = sh.order
-	live := sh.live()
-	var bufs [2][]int32
-	bufs[0] = ws.Int32(n)
-	bufs[1] = ws.Int32(n)
-	curBuf, curN := 0, 0
-	phInit := time.Since(t0)
-
-	var phPre, phPhase1, phPhase2 time.Duration
-	var prevRetries, retryDelta int64
-	permPtr, visited, round := 0, 0, 0
-	numCenters, workRounds := sh.settle(rec, opt.Level)
-	for visited < live {
-		tPre := now()
-		if curN == 0 && permPtr < live {
-			round = sh.fastForward(round, permPtr)
-		}
-		end := sh.end(round)
-		added := 0
-		if end > permPtr {
-			m.cursor.Store(int64(curN))
-			m.front = bufs[curBuf]
-			m.base = permPtr
-			pool.Blocks(procs, end-permPtr, 0, m.fnPre)
-			permPtr = end
-			added = int(m.cursor.Load()) - curN
-			curN += added
-			numCenters += added
-		}
-		dPre := time.Since(tPre)
-		phPre += dPre
-		if curN == 0 {
-			if permPtr >= live {
-				break // all vertices visited; loop condition ends next check
-			}
-			// The chunk just scanned was entirely already-visited; advance
-			// to the next round that yields new centers.
-			continue
-		}
-		m.cur = bufs[curBuf][:curN]
-		m.nxt = bufs[1-curBuf]
-		m.cursor.Store(0)
-
-		// Re-tune at the round boundary; both phases sweep the same frontier
-		// edge set, so they share one grain decision and the cost EWMA sees
-		// the combined wall time over twice the edges.
-		curEdges := int64(curN) * avgDeg
-		grain := tn.FrontierGrain(procs, curN, curEdges, retryDelta)
-
-		t1 := now()
-		pool.Blocks(procs, curN, grain, m.fnPhase1)
-		d1 := time.Since(t1)
-		phPhase1 += d1
-
-		t2 := now()
-		pool.Blocks(procs, curN, grain, m.fnPhase2)
-		d2 := time.Since(t2)
-		phPhase2 += d2
-		tn.Observe(2*curEdges, d1+d2)
-		sum := m.retries.Sum()
-		retryDelta, prevRetries = sum-prevRetries, sum
-		if rec != nil {
-			rec.Round(obs.Round{
-				Level: opt.Level, Round: round, Frontier: curN, NewCenters: added,
-				Duration: dPre + d1 + d2, CASRetries: retryDelta,
-			})
-		}
-		// Count the frontier we just processed as visited (paper line 7);
-		// counting at claim time instead would end the loop before the last
-		// frontier's edges are classified.
-		visited += curN
-		curBuf = 1 - curBuf
-		curN = int(m.cursor.Load())
-		round++
-		workRounds++
-	}
-
+	// The end-of-level pass is charged to phase 2, whose last round left
+	// the sign bits it clears.
 	tEnd := now()
-	pool.Blocks(procs, n, 0, m.fnUnsign)
+	m.pool.Blocks(m.procs, n, 0, m.fnUnsign)
 	labels := ws.Int32(n)
 	m.labels = labels
-	pool.Blocks(procs, n, 0, m.fnLabels)
-	phPhase2 += time.Since(tEnd)
-
-	if rec != nil {
-		rec.Phase(obs.Phase{Level: opt.Level, Name: obs.PhaseInit, Duration: phInit})
-		rec.Phase(obs.Phase{Level: opt.Level, Name: obs.PhaseBFSPre, Duration: phPre})
-		rec.Phase(obs.Phase{Level: opt.Level, Name: obs.PhaseBFSPhase1, Duration: phPhase1})
-		rec.Phase(obs.Phase{Level: opt.Level, Name: obs.PhaseBFSPhase2, Duration: phPhase2})
+	m.pool.Blocks(m.procs, n, 0, m.fnLabels)
+	phase2 := st.sparse - m.phase1 + time.Since(tEnd)
+	if rec := opt.Recorder; rec != nil {
+		st.phases(rec, opt.Level)
+		rec.Phase(obs.Phase{Level: opt.Level, Name: obs.PhaseBFSPhase1, Duration: m.phase1})
+		rec.Phase(obs.Phase{Level: opt.Level, Name: obs.PhaseBFSPhase2, Duration: phase2})
 	}
-
-	// Release everything but the labels, whose ownership transfers to the
-	// caller, and drop the machine's aliases so the arena's next owner of
-	// these buffers is truly exclusive.
-	sh.release(ws)
-	ws.PutInt32(bufs[0])
-	ws.PutInt32(bufs[1])
-	ws.PutInt32(deltaFrac)
-	ws.PutInt64(c)
-	m.g, m.c, m.deltaFrac, m.perm, m.front, m.cur, m.nxt, m.labels = nil, nil, nil, nil, nil, nil, nil, nil
-	//parconn:allow scratchlifetime Labels ownership transfers to the caller, who releases it after RELABELUP (see the comment above)
-	return Result{Labels: labels, NumCenters: numCenters, Rounds: workRounds,
-		CASRetries: m.retries.Sum(), EdgesOut: m.liveOut.Sum()}
+	ws.PutInt32(m.deltaFrac)
+	ws.PutInt64(m.pairs)
+	m.pairs, m.deltaFrac, m.labels = nil, nil, nil
+	//parconn:allow scratchlifetime Labels ownership transfers to the caller, who releases it after RELABELUP
+	return m.result(labels, st)
 }

@@ -1,11 +1,10 @@
 package decomp
 
-import "parconn/internal/parallel"
-
 // Scratch caches the per-variant "machines" — structs whose parallel loop
-// bodies are closures bound once at construction and re-aimed at each call's
-// data through machine fields. Per-round closure literals were the dominant
-// steady-state allocation in the BFS loop (Go's escape analysis is
+// bodies (the shared frontier's pre pass and round step, and each variant's
+// own passes) are closures bound once at construction and re-aimed at each
+// call's data through machine fields. Per-round closure literals were the
+// dominant steady-state allocation in the BFS loop (Go's escape analysis is
 // path-insensitive: any closure handed to the scheduler heap-allocates at
 // every creation, once per round per phase), so the machines hoist them to
 // one-time cost.
@@ -19,10 +18,6 @@ type Scratch struct {
 	hybrid *hybridMachine
 	min    *minMachine
 	copier wgraphCopy
-	// tuner is the fallback adaptive scheduler for callers that do not
-	// thread their own through Options.Tuner; its cost EWMA then persists
-	// across this Scratch's Decompose calls.
-	tuner parallel.Tuner
 }
 
 func (s *Scratch) arbM() *arbMachine {

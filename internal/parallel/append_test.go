@@ -120,7 +120,7 @@ func BenchmarkFrontierAppend(b *testing.B) {
 		var cursor atomic.Int64
 		for i := 0; i < b.N; i++ {
 			cursor.Store(0)
-			Blocks(procs, n, FrontierGrain, func(lo, hi int) {
+			Blocks(procs, n, BaseFrontierGrain, func(lo, hi int) {
 				for v := lo; v < hi; v++ {
 					dst[cursor.Add(1)-1] = int32(v)
 				}
@@ -131,7 +131,7 @@ func BenchmarkFrontierAppend(b *testing.B) {
 		var cursor atomic.Int64
 		for i := 0; i < b.N; i++ {
 			cursor.Store(0)
-			Blocks(procs, n, FrontierGrain, func(lo, hi int) {
+			Blocks(procs, n, BaseFrontierGrain, func(lo, hi int) {
 				out := NewAppender(dst, &cursor)
 				for v := lo; v < hi; v++ {
 					out.Push(int32(v))

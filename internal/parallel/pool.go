@@ -164,8 +164,8 @@ func (p *Pool) Joins() int64 { return p.joins.Load() }
 // Sections reports the cumulative number of parallel sections this pool
 // ran, that is, calls that forked rather than taking a serial fast path.
 // Each one costs a fixed SectionAllocs heap allocations, so a test can
-// count a run's allocations independently of how many sections the
-// timing-driven grain choices forked.
+// count a run's allocations independently of how many sections the grain
+// rule forked.
 func (p *Pool) Sections() int64 { return p.sections.Load() }
 
 // SectionAllocs is the fixed heap-allocation cost of one parallel section

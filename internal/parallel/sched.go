@@ -1,66 +1,42 @@
 package parallel
 
-import (
-	"runtime"
-	"time"
-)
+import "runtime"
 
-// FrontierGrain is the baseline block size for loops whose per-iteration
-// work is proportional to a vertex degree (frontier sweeps, pair gathers).
-// It is the single source of truth for the value that used to be duplicated
-// as core.frontGrain and decomp.frontierGrain; the Tuner refines it per
-// round from live statistics and falls back to it when it has none.
-const FrontierGrain = 256
+// BaseFrontierGrain is the baseline block size for loops whose
+// per-iteration work is proportional to a vertex degree (frontier sweeps,
+// pair gathers). FrontierGrain refines it per round from the frontier's
+// size and edge mass.
+const BaseFrontierGrain = 256
 
-// Tuner turns the statistics the machines already track — frontier sizes,
-// live edge counts, per-round CAS-retry counters, and measured section wall
-// time — into scheduling decisions: the grain size for skewed frontier
-// loops, the nested edge-parallel cutoff, and whether a whole recursion
-// level is too small to be worth forking at all. Decisions are re-evaluated
-// at every level/round boundary by the coordinator; they never change inside
-// a parallel section.
-//
-// Every decision is a pure integer function of its arguments and the
-// observation EWMA, so identical stat streams produce identical schedules
-// and traces stay reproducible (see TestTunerDeterministic).
-type Tuner struct {
-	// nsPerItemQ4 is an exponentially weighted moving average of the
-	// measured per-item (per-edge) cost of recent parallel sections, in
-	// quarter-nanosecond fixed point. Integer arithmetic keeps the decision
-	// functions exactly reproducible for a given observation sequence.
-	// It is written by Observe and read by FrontierGrain, both only from
-	// the coordinating goroutine between parallel sections; the value is
-	// advisory, so even a stale read would only mis-size a grain.
-	nsPerItemQ4 int64
-}
-
+// The scheduling decisions below — the grain of a skewed frontier loop, the
+// nested edge-parallel cutoff, whether a whole recursion level is too small
+// to fork, and the worker count — are pure functions of the statistics the
+// machines already track (frontier sizes, live edge counts, the previous
+// round's CAS-retry count). The coordinator evaluates them at level and
+// round boundaries; they never change inside a parallel section, and they
+// keep no state between calls (DESIGN.md §12).
 const (
-	// defaultNSPerItemQ4 seeds the EWMA before any observation: 4ns per
-	// edge, a typical cost for the CAS-per-edge frontier sweeps on the
-	// graphs in EXPERIMENTS.md.
-	defaultNSPerItemQ4 = 4 * 4
-	// maxNSPerItemQ4 clamps observations so one descheduled block (or a
-	// timer hiccup) cannot poison the EWMA: 1µs per item.
-	maxNSPerItemQ4 = 1000 * 4
+	// nsPerEdge is the fixed per-edge cost the frontier grain is sized
+	// with: about what a labeling of an rMat graph measures per estimated
+	// edge on 2 vCPUs, and twice a line graph's. A smaller cost means
+	// larger blocks: at 25 ns/edge a line graph's traced sparse rounds
+	// read about 8% slower (DESIGN.md §12).
+	nsPerEdge = 100
 	// targetBlockNS is the wall time one claimed block should cost. Large
 	// enough to amortize the claim (one atomic add) thousands of times
 	// over, small enough that the atomic-counter claim loop still balances
 	// skewed blocks across workers.
 	targetBlockNS = 400_000
-	// minObserveItems drops observations of tiny sections, whose duration
-	// is dominated by fork/join overhead and timer granularity rather than
-	// per-item cost.
-	minObserveItems = 4096
-	// minFrontierGrain / maxFrontierGrain bound the adaptive grain. The
-	// lower bound keeps the per-block scheduling overhead amortized even
-	// when the EWMA reports expensive items; the upper bound keeps enough
-	// blocks in flight for the claim loop to balance degree skew.
+	// minFrontierGrain / maxFrontierGrain bound the frontier grain. The
+	// lower bound keeps the per-block scheduling overhead amortized on
+	// high-degree frontiers; the upper bound keeps enough blocks in flight
+	// for the claim loop to balance degree skew.
 	minFrontierGrain = 64
 	maxFrontierGrain = 1 << 16
 	// serialFrontier is the frontier size below which a skewed loop runs
 	// as a single block on the coordinator: two baseline grains, i.e. the
 	// point where splitting buys at most one extra worker.
-	serialFrontier = 2 * FrontierGrain
+	serialFrontier = 2 * BaseFrontierGrain
 	// minEdgeParallelCutoff is the smallest live degree the adaptive
 	// edge-parallel path will ever fire on; below it the nested fork/join
 	// plus pack costs more than the sequential scan it replaces.
@@ -77,40 +53,13 @@ const (
 	uniformBlocksPerProc = 8
 )
 
-// Observe feeds the wall time of one parallel section that processed
-// approximately items units of work into the cost EWMA (weight 1/4 on the
-// new observation). Sections smaller than minObserveItems are ignored.
-func (t *Tuner) Observe(items int64, d time.Duration) {
-	if items < minObserveItems || d <= 0 {
-		return
-	}
-	cur := int64(d) * 4 / items
-	if cur < 1 {
-		cur = 1
-	}
-	if cur > maxNSPerItemQ4 {
-		cur = maxNSPerItemQ4
-	}
-	if t.nsPerItemQ4 == 0 {
-		t.nsPerItemQ4 = cur
-		return
-	}
-	t.nsPerItemQ4 = (3*t.nsPerItemQ4 + cur) / 4
-}
-
-// NSPerItem reports the current cost estimate in nanoseconds per item
-// (zero until the first observation); exported for tests and tooling.
-func (t *Tuner) NSPerItem() float64 {
-	return float64(t.nsPerItemQ4) / 4
-}
-
 // FrontierGrain picks the block size for a skewed loop over frontier
 // vertices that will touch approximately frontierEdges edges in total.
 // casRetries is the previous round's lost-CAS count: heavy contention
 // shrinks blocks so the claim loop interleaves writers more finely.
 // Frontiers at or below serialFrontier run as one block on the caller
 // (the returned grain equals the frontier).
-func (t *Tuner) FrontierGrain(procs, frontier int, frontierEdges, casRetries int64) int {
+func FrontierGrain(procs, frontier int, frontierEdges, casRetries int64) int {
 	if procs <= 1 || frontier <= serialFrontier {
 		return frontier
 	}
@@ -118,12 +67,8 @@ func (t *Tuner) FrontierGrain(procs, frontier int, frontierEdges, casRetries int
 	if avgDeg < 1 {
 		avgDeg = 1
 	}
-	ns := t.nsPerItemQ4
-	if ns == 0 {
-		ns = defaultNSPerItemQ4
-	}
 	// Edges per block that hit the target block time, then vertices.
-	grain := int(targetBlockNS * 4 / ns / avgDeg)
+	grain := int(targetBlockNS / nsPerEdge / avgDeg)
 	if casRetries > int64(frontier)/8 {
 		// One lost CAS per eight frontier vertices: writers are colliding;
 		// halving the grain halves the window in which two blocks chase
@@ -151,7 +96,7 @@ func (t *Tuner) FrontierGrain(procs, frontier int, frontierEdges, casRetries int
 // runtime.asyncPreempt interrupting the frontier loops) and cache traffic.
 // Race builds keep the requested width: there, goroutine interleaving
 // coverage matters more than throughput.
-func (t *Tuner) Workers(procs int) int {
+func Workers(procs int) int {
 	if raceEnabled {
 		return procs
 	}
@@ -165,8 +110,9 @@ func (t *Tuner) Workers(procs int) int {
 // frontier vertex's edge list is processed with a nested parallel loop
 // (decomp's EdgeParallel). A list is only worth forking when it is a
 // meaningful fraction of the level's remaining work, so the cutoff scales
-// with liveEdges per worker; zero means the optimization stays off.
-func (t *Tuner) EdgeParallelCutoff(procs int, liveEdges int64) int {
+// with liveEdges per worker; zero (at one worker) means the optimization
+// stays off.
+func EdgeParallelCutoff(procs int, liveEdges int64) int {
 	if procs <= 1 {
 		return 0
 	}
@@ -185,7 +131,7 @@ func (t *Tuner) EdgeParallelCutoff(procs int, liveEdges int64) int {
 // directed edges is below the tiny-level threshold and should run with a
 // single worker end to end (decomposition and contraction); see DESIGN.md
 // §12.
-func (t *Tuner) SerialLevel(n int, edges int64) bool {
+func SerialLevel(n int, edges int64) bool {
 	return int64(n)+edges < serialLevelWork
 }
 

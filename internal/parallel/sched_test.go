@@ -3,28 +3,16 @@ package parallel
 import (
 	"runtime"
 	"testing"
-	"time"
 )
 
 // profile is a synthetic per-round stat stream: what a decomposition round
-// loop would feed the tuner on a given graph family.
+// loop would pass FrontierGrain on a given graph family.
 type profile struct {
 	name     string
 	procs    int
 	frontier int
 	edges    int64 // edges carried by the frontier
 	retries  int64
-	// observations replayed into the EWMA before the decision.
-	obsItems []int64
-	obsDur   []time.Duration
-}
-
-func (p profile) tuner() *Tuner {
-	t := &Tuner{}
-	for i, items := range p.obsItems {
-		t.Observe(items, p.obsDur[i])
-	}
-	return t
 }
 
 func TestFrontierGrainRanges(t *testing.T) {
@@ -32,15 +20,13 @@ func TestFrontierGrainRanges(t *testing.T) {
 		profile
 		minGrain, maxGrain int
 	}{
-		// Uniform random graph: 100k-vertex frontier, average degree 10,
-		// no measurements yet — the default cost estimate applies.
+		// Uniform random graph: 100k-vertex frontier, average degree 10.
 		{profile{name: "uniform", procs: 4, frontier: 100_000, edges: 1_000_000},
 			minFrontierGrain, maxFrontierGrain},
-		// rMat-skewed: big frontier, heavy average degree, measured cost
-		// around 8ns/edge. Grain must stay small enough for the claim loop
-		// to balance the skew: at least 4 blocks per worker.
-		{profile{name: "rmat-skewed", procs: 4, frontier: 250_000, edges: 10_000_000,
-			obsItems: []int64{10_000_000}, obsDur: []time.Duration{80 * time.Millisecond}},
+		// rMat-skewed: big frontier, heavy average degree. Grain must stay
+		// small enough for the claim loop to balance the skew: at least 4
+		// blocks per worker.
+		{profile{name: "rmat-skewed", procs: 4, frontier: 250_000, edges: 10_000_000},
 			minFrontierGrain, 250_000 / (4 * 4)},
 		// Star: one hub dominates; the frontier itself is tiny, so the
 		// round must run serially (grain == frontier means one block).
@@ -52,8 +38,7 @@ func TestFrontierGrainRanges(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			tn := tc.tuner()
-			g := tn.FrontierGrain(tc.procs, tc.frontier, tc.edges, tc.retries)
+			g := FrontierGrain(tc.procs, tc.frontier, tc.edges, tc.retries)
 			if g < tc.minGrain || g > tc.maxGrain {
 				t.Fatalf("FrontierGrain(%s) = %d, want in [%d, %d]", tc.name, g, tc.minGrain, tc.maxGrain)
 			}
@@ -69,54 +54,37 @@ func TestFrontierGrainRanges(t *testing.T) {
 }
 
 func TestFrontierGrainContentionShrinks(t *testing.T) {
-	var tn Tuner
-	calm := tn.FrontierGrain(4, 100_000, 1_000_000, 0)
-	contended := tn.FrontierGrain(4, 100_000, 1_000_000, 50_000)
+	calm := FrontierGrain(4, 100_000, 1_000_000, 0)
+	contended := FrontierGrain(4, 100_000, 1_000_000, 50_000)
 	if contended > calm {
 		t.Fatalf("contended grain %d > calm grain %d", contended, calm)
 	}
 }
 
 func TestFrontierGrainSerialCases(t *testing.T) {
-	var tn Tuner
-	if g := tn.FrontierGrain(1, 1_000_000, 10_000_000, 0); g != 1_000_000 {
+	if g := FrontierGrain(1, 1_000_000, 10_000_000, 0); g != 1_000_000 {
 		t.Fatalf("procs=1 grain = %d, want the whole frontier", g)
 	}
-	if g := tn.FrontierGrain(4, serialFrontier, 1_000_000, 0); g != serialFrontier {
+	if g := FrontierGrain(4, serialFrontier, 1_000_000, 0); g != serialFrontier {
 		t.Fatalf("tiny-frontier grain = %d, want the whole frontier (%d)", g, serialFrontier)
 	}
 }
 
-func TestObserveUpdatesEstimate(t *testing.T) {
-	var tn Tuner
-	if tn.NSPerItem() != 0 {
-		t.Fatalf("fresh tuner NSPerItem = %v, want 0", tn.NSPerItem())
-	}
-	tn.Observe(1_000_000, 8*time.Millisecond) // 8ns/item
-	if got := tn.NSPerItem(); got < 7 || got > 9 {
-		t.Fatalf("NSPerItem after 8ns observation = %v", got)
-	}
-	// Costlier sections shrink the grain.
-	cheap := (&Tuner{}).FrontierGrain(4, 1<<20, 1<<23, 0)
-	var slow Tuner
-	slow.Observe(1_000_000, 100*time.Millisecond) // 100ns/item
-	if g := slow.FrontierGrain(4, 1<<20, 1<<23, 0); g >= cheap {
-		t.Fatalf("slow-cost grain %d >= default-cost grain %d", g, cheap)
-	}
-	// Tiny sections are ignored: fork/join noise, not per-item cost.
-	before := slow.NSPerItem()
-	slow.Observe(10, time.Second)
-	if slow.NSPerItem() != before {
-		t.Fatalf("tiny observation changed the estimate: %v -> %v", before, slow.NSPerItem())
+// TestFrontierGrainShrinksWithDegree checks the fixed-cost model: a
+// frontier carrying more edges per vertex gets fewer vertices per block.
+func TestFrontierGrainShrinksWithDegree(t *testing.T) {
+	light := FrontierGrain(4, 1<<20, 1<<21, 0)
+	heavy := FrontierGrain(4, 1<<20, 1<<25, 0)
+	if heavy >= light {
+		t.Fatalf("avg-degree-32 grain %d >= avg-degree-2 grain %d", heavy, light)
 	}
 }
 
 func TestEdgeParallelCutoff(t *testing.T) {
-	var tn Tuner
-	if c := tn.EdgeParallelCutoff(1, 10_000_000); c != 0 {
+	if c := EdgeParallelCutoff(1, 10_000_000); c != 0 {
 		t.Fatalf("procs=1 cutoff = %d, want 0 (disabled)", c)
 	}
-	c := tn.EdgeParallelCutoff(4, 10_000_000)
+	c := EdgeParallelCutoff(4, 10_000_000)
 	if c < minEdgeParallelCutoff {
 		t.Fatalf("cutoff %d below floor %d", c, minEdgeParallelCutoff)
 	}
@@ -124,17 +92,16 @@ func TestEdgeParallelCutoff(t *testing.T) {
 		t.Fatalf("cutoff %d above liveEdges/(2*procs)", c)
 	}
 	// A tiny level can never reach the floor, so the path stays cold.
-	if c := tn.EdgeParallelCutoff(4, 1000); c != minEdgeParallelCutoff {
+	if c := EdgeParallelCutoff(4, 1000); c != minEdgeParallelCutoff {
 		t.Fatalf("tiny-level cutoff = %d, want the floor %d", c, minEdgeParallelCutoff)
 	}
 }
 
 func TestSerialLevel(t *testing.T) {
-	var tn Tuner
-	if !tn.SerialLevel(138, 276) {
+	if !SerialLevel(138, 276) {
 		t.Fatal("late contraction level (n=138) should run serially")
 	}
-	if tn.SerialLevel(1<<20, 10_000_000) {
+	if SerialLevel(1<<20, 10_000_000) {
 		t.Fatal("level 0 of an rMat-20 run must not be serialized")
 	}
 }
@@ -156,37 +123,10 @@ func TestUniformGrain(t *testing.T) {
 	}
 }
 
-// TestTunerDeterministic replays the same observation/stat stream into two
-// independent tuners and requires identical decisions at every step: traces
-// must be reproducible run to run.
-func TestTunerDeterministic(t *testing.T) {
-	var a, b Tuner
-	frontiers := []int{1 << 18, 1 << 16, 1 << 12, 700, 12}
-	for step, f := range frontiers {
-		edges := int64(f) * 11
-		retries := int64(f) / 10
-		ga := a.FrontierGrain(4, f, edges, retries)
-		gb := b.FrontierGrain(4, f, edges, retries)
-		if ga != gb {
-			t.Fatalf("step %d: grains diverge (%d vs %d)", step, ga, gb)
-		}
-		if ca, cb := a.EdgeParallelCutoff(4, edges), b.EdgeParallelCutoff(4, edges); ca != cb {
-			t.Fatalf("step %d: cutoffs diverge (%d vs %d)", step, ca, cb)
-		}
-		d := time.Duration(edges) * 7 // pretend 7ns/edge
-		a.Observe(edges, d)
-		b.Observe(edges, d)
-		if a.nsPerItemQ4 != b.nsPerItemQ4 {
-			t.Fatalf("step %d: EWMAs diverge (%d vs %d)", step, a.nsPerItemQ4, b.nsPerItemQ4)
-		}
-	}
-}
-
 func TestWorkersCapsAtNumCPU(t *testing.T) {
-	var tn Tuner
 	ncpu := runtime.NumCPU()
 	for _, p := range []int{1, 2, 4, ncpu, ncpu + 3, 64} {
-		got := tn.Workers(p)
+		got := Workers(p)
 		want := p
 		if !raceEnabled && want > ncpu {
 			want = ncpu

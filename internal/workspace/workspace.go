@@ -49,7 +49,7 @@ const DefaultLimit = int64(1) << 30
 // treated as "small": release stashes such buffers in a per-class one-slot
 // spare that skips the retained-bytes accounting and the limit check, and
 // acquire probes that slot before scanning the free lists. The recursion's
-// tiny tail levels (which now run serially, see parallel.Tuner.SerialLevel)
+// tiny tail levels (which now run serially, see parallel.SerialLevel)
 // churn through many sub-2048-element buffers per level; their aggregate
 // bytes are noise next to the level-0 working set, so exempting them keeps
 // the fast path one probe and makes the cap a statement about big buffers

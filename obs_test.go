@@ -159,6 +159,8 @@ func TestOptionsValidation(t *testing.T) {
 		"edgeparallel-serial":    {Algorithm: SerialSF, EdgeParallel: 8},
 		"edgeparallel-ldd":       {Algorithm: LDDUnionFind, EdgeParallel: 8},
 		"edgeparallel-labelprop": {Algorithm: LabelProp, EdgeParallel: 8},
+		"edgeparallel-hybrid":    {Algorithm: DecompArbHybrid, EdgeParallel: 8},
+		"edgeparallel-min":       {Algorithm: DecompMin, EdgeParallel: 8},
 	}
 	for name, opt := range bad {
 		if _, err := ConnectedComponents(g, opt); err == nil {
