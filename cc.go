@@ -378,7 +378,7 @@ func Decompose(g *Graph, opt DecompOptions) (*Decomposition, error) {
 		Labels:        res.Labels,
 		NumPartitions: res.NumCenters,
 		Rounds:        res.Rounds,
-		CutEdges:      w.LiveEdges(pool, procs),
+		CutEdges:      res.EdgesOut,
 	}
 	if rec != nil {
 		rec.RunEnd(RunEnd{Components: d.NumPartitions, Duration: time.Since(t0)})

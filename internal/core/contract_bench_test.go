@@ -54,7 +54,7 @@ func benchContract(b *testing.B, name string, g *graph.Graph, dedup DedupMode, p
 		m := newCCMachine()
 		m.opt, m.procs, m.pool, m.ws = Options{Procs: procs, Dedup: dedup}, procs, pool, workspace.New()
 		sub := &decomp.WGraph{}
-		rep, edgesOut := m.contract(m.procs, w, sub, res.Labels)
+		rep, edgesOut := m.contract(m.procs, w, sub, res)
 		subG := &graph.Graph{N: sub.N, Offs: sub.Offs[:sub.N+1], Adj: sub.Adj[:edgesOut]}
 		subLabels, err := CC(subG, Options{Variant: decomp.ArbHybrid, Seed: 8, Procs: procs, Pool: pool})
 		if err != nil {
@@ -73,7 +73,7 @@ func benchContract(b *testing.B, name string, g *graph.Graph, dedup DedupMode, p
 			b.StopTimer()
 			copy(labels, res.Labels)
 			b.StartTimer()
-			rep, _ = m.contract(m.procs, w, sub, labels)
+			rep, _ = m.contract(m.procs, w, sub, res)
 			m.relabelUp(procs, labels, rep, subLabels)
 			release()
 		}

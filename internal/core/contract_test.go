@@ -33,12 +33,13 @@ func putTestMachine(m *ccMachine) {
 	machinePool.Put(m)
 }
 
-// contract runs one contraction step through a fresh ccMachine.
-func contract(w *decomp.WGraph, labels []int32, opt Options) contracted {
+// contract runs one contraction step of w's decomposition res through a
+// fresh ccMachine. A Result literal of labels alone drops no ball.
+func contract(w *decomp.WGraph, res decomp.Result, opt Options) contracted {
 	m := newTestMachine(opt)
 	defer putTestMachine(m)
 	c := contracted{sub: &decomp.WGraph{}}
-	c.rep, c.edgesOut = m.contract(m.procs, w, c.sub, labels)
+	c.rep, c.edgesOut = m.contract(m.procs, w, c.sub, res)
 	return c
 }
 
@@ -92,7 +93,7 @@ func TestContractManual(t *testing.T) {
 		{},     // vertex 5 (center, no edges)
 	})
 	for _, dedup := range dedups {
-		c := contract(w, labels, Options{Procs: 1, Dedup: dedup})
+		c := contract(w, decomp.Result{Labels: labels}, Options{Procs: 1, Dedup: dedup})
 		sub := c.sub
 		// Component 5 is a singleton: dropped.
 		if sub.N != 2 {
@@ -145,17 +146,20 @@ func TestContractDedupModesCount(t *testing.T) {
 		if mode == DedupNone {
 			want = 6
 		}
-		if c := contract(w, labels, Options{Procs: 1, Dedup: mode}); c.edgesOut != want {
+		if c := contract(w, decomp.Result{Labels: labels}, Options{Procs: 1, Dedup: mode}); c.edgesOut != want {
 			t.Fatalf("%v: edgesOut=%d want %d", mode, c.edgesOut, want)
 		}
 	}
 }
 
-// TestContractRealInputs decomposes real inputs and contracts the
-// resulting state in every dedup mode with one worker (as on a tiny level)
-// and with two, so the sections fork; both must build the same graph.
-// RELABELUP of the contracted graph's own labeling must then give the
-// input's exact partition.
+// TestContractRealInputs decomposes real inputs with Arb and with the
+// hybrid at a dense threshold low enough to drop a ball's lists, and
+// contracts the resulting state in every dedup mode with one worker (as on
+// a tiny level) and with two, so the sections fork; both must build the
+// same graph, and it must be the graph contracted from the same labels
+// with every list kept (the dropped ball's edges rebuilt from the other
+// side). RELABELUP of the contracted graph's own labeling must then give
+// the input's exact partition.
 func TestContractRealInputs(t *testing.T) {
 	inputs := map[string]*graph.Graph{
 		"line":     graph.Line(30_000, 3),
@@ -163,32 +167,61 @@ func TestContractRealInputs(t *testing.T) {
 		"random":   graph.Random(20_000, 4, 5),
 	}
 	for name, g := range inputs {
-		for _, dedup := range dedups {
-			w := decomp.NewWGraph(parallel.Default(), 2, g)
-			res, err := decomp.Decompose(w, decomp.Arb, decomp.Options{Beta: 0.2, Seed: 3, Procs: 2})
-			if err != nil {
-				t.Fatal(err)
+		for _, variant := range []decomp.Variant{decomp.Arb, decomp.ArbHybrid} {
+			for _, dedup := range dedups {
+				w := decomp.NewWGraph(parallel.Default(), 2, g)
+				res, err := decomp.Decompose(w, variant, decomp.Options{Beta: 0.2, Seed: 3, Procs: 2, DenseFrac: 0.01})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.EdgesOut == 0 {
+					t.Fatalf("%s: decomposition cut no edges", name)
+				}
+				// Arb keeps every list; the hybrid goes dense on rMat and
+				// random at this threshold (a line may or may not).
+				dropped := res.Dropped() != decomp.NoBall
+				if variant == decomp.Arb && dropped || variant == decomp.ArbHybrid && name != "line" && !dropped {
+					t.Fatalf("%s/%v: dropped ball %d", name, variant, res.Dropped())
+				}
+				c := contract(w, res, Options{Procs: 2, Dedup: dedup})
+				if !sameContraction(c, contract(w, res, Options{Procs: 1, Dedup: dedup})) {
+					t.Fatalf("%s/%v/%v: contraction differs between 1 and 2 workers", name, variant, dedup)
+				}
+				if !sameContraction(c, contract(twoSided(g, res.Labels), decomp.Result{Labels: res.Labels}, Options{Procs: 1, Dedup: dedup})) {
+					t.Fatalf("%s/%v/%v: contraction differs from the two-sided one", name, variant, dedup)
+				}
+				if c.sub.N == 0 || c.sub.N > res.NumCenters {
+					t.Fatalf("%s/%v: contracted n=%d from %d centers", name, dedup, c.sub.N, res.NumCenters)
+				}
+				subG := &graph.Graph{N: c.sub.N, Offs: c.sub.Offs[:c.sub.N+1], Adj: c.sub.Adj[:c.edgesOut]}
+				subLabels, err := CC(subG, Options{Variant: decomp.Arb, Seed: 4, Procs: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				labels := slices.Clone(res.Labels)
+				relabelUp(labels, c.rep, subLabels, 2)
+				checkLabels(t, g, labels)
 			}
-			if res.EdgesOut == 0 {
-				t.Fatalf("%s: decomposition cut no edges", name)
-			}
-			c := contract(w, res.Labels, Options{Procs: 2, Dedup: dedup})
-			if !sameContraction(c, contract(w, res.Labels, Options{Procs: 1, Dedup: dedup})) {
-				t.Fatalf("%s/%v: contraction differs between 1 and 2 workers", name, dedup)
-			}
-			if c.sub.N == 0 || c.sub.N > res.NumCenters {
-				t.Fatalf("%s/%v: contracted n=%d from %d centers", name, dedup, c.sub.N, res.NumCenters)
-			}
-			subG := &graph.Graph{N: c.sub.N, Offs: c.sub.Offs[:c.sub.N+1], Adj: c.sub.Adj[:c.edgesOut]}
-			subLabels, err := CC(subG, Options{Variant: decomp.Arb, Seed: 4, Procs: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			labels := slices.Clone(res.Labels)
-			relabelUp(labels, c.rep, subLabels, 2)
-			checkLabels(t, g, labels)
 		}
 	}
+}
+
+// twoSided builds the working graph a decomposition into labels leaves
+// when it keeps every list: each vertex holds its inter-component edges,
+// targets relabeled.
+func twoSided(g *graph.Graph, labels []int32) *decomp.WGraph {
+	w := &decomp.WGraph{N: g.N, Offs: g.Offs, Adj: make([]int32, len(g.Adj)), Deg: make([]int32, g.N)}
+	for v := range g.N {
+		k := g.Offs[v]
+		for _, u := range g.Neighbors(int32(v)) {
+			if labels[u] != labels[v] {
+				w.Adj[k] = labels[u]
+				k++
+			}
+		}
+		w.Deg[v] = int32(k - g.Offs[v])
+	}
+	return w
 }
 
 func TestCCMinDeterministicAcrossProcsFullStack(t *testing.T) {

@@ -25,6 +25,7 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"parconn/internal/decomp"
@@ -135,6 +136,8 @@ type ccMachine struct {
 	// Current-section state for the bound closures.
 	w              *decomp.WGraph
 	labels         []int32
+	drop           int32        // the decomposition's Result.Dropped
+	revCursor      atomic.Int64 // next free slot of the reverse pairs
 	blockOut       []int64
 	pairs          []uint64
 	bits           uint
@@ -162,7 +165,7 @@ type ccMachine struct {
 	// the arguments flow through the fields below instead.
 	dopt                    decomp.Options
 	stepW, stepSub          *decomp.WGraph
-	stepLabels              []int32
+	stepRes                 decomp.Result
 	decompRes               decomp.Result
 	decompErr               error
 	stepProcs               int
@@ -206,9 +209,19 @@ func newCCMachine() *ccMachine {
 	// paper's "we only need to relabel the source endpoint"), a sequential
 	// read. The output of a contiguous vertex range is contiguous, so a call
 	// spanning several blocks writes on from its first block's offset.
+	//
+	// The dropped ball's lists are empty, and each of its inter-component
+	// edges is held once, as an entry targeting it on the other side, so
+	// each such entry also yields its reverse, (drop, src): the pairs are
+	// the same multiset as with every list kept. A call rereads the pairs
+	// it just wrote for them and appends them past the forward pairs
+	// through revCursor; their order there does not matter, as every mode
+	// sorts the pairs.
 	m.fnPairs = func(lo, hi int) {
-		w, labels, pairs, bits := m.w, m.labels, m.pairs, m.bits
-		out := m.blockOut[lo/pairGrain]
+		w, labels, pairs, bits, drop := m.w, m.labels, m.pairs, m.bits, m.drop
+		first := m.blockOut[lo/pairGrain]
+		out := first
+		var rev int64
 		for v := lo; v < hi; v++ {
 			d := w.Deg[v]
 			if d == 0 {
@@ -219,6 +232,20 @@ func newCCMachine() *ccMachine {
 			for _, tgt := range w.Adj[base : base+int64(d)] {
 				pairs[out] = src | uint64(uint32(tgt))
 				out++
+				if tgt == drop {
+					rev++
+				}
+			}
+		}
+		if rev == 0 {
+			return
+		}
+		at := m.revCursor.Add(rev) - rev
+		dropPair, target := uint64(uint32(drop))<<bits, uint64(uint32(drop))
+		for _, p := range pairs[first:out] {
+			if p&m.mask == target {
+				pairs[at] = dropPair | p>>bits
+				at++
 			}
 		}
 	}
@@ -297,7 +324,7 @@ func newCCMachine() *ccMachine {
 		m.decompRes, m.decompErr = decomp.Decompose(m.stepW, m.opt.Variant, m.dopt)
 	}
 	m.fnContract = func(context.Context) {
-		m.ctRep, m.ctEdgesOut = m.contract(m.stepProcs, m.stepW, m.stepSub, m.stepLabels)
+		m.ctRep, m.ctEdgesOut = m.contract(m.stepProcs, m.stepW, m.stepSub, m.stepRes)
 	}
 	return m
 }
@@ -310,7 +337,7 @@ func (m *ccMachine) reset() {
 	m.rep, m.idx = nil, nil
 	m.subOffs, m.subAdj, m.subDeg, m.subLabels = nil, nil, nil, nil
 	m.dopt = decomp.Options{}
-	m.stepW, m.stepSub, m.stepLabels, m.stepProcs = nil, nil, nil, 0
+	m.stepW, m.stepSub, m.stepRes, m.stepProcs = nil, nil, decomp.Result{}, 0
 	m.decompRes, m.decompErr = decomp.Result{}, nil
 	m.ctRep = nil
 }
@@ -439,10 +466,10 @@ func (m *ccMachine) ccLevel(w *decomp.WGraph, level int, edges int64) ([]int32, 
 	}
 	labels := res.Labels // labels[v] = center id owning v
 
-	// The machines accumulate the surviving inter-component edge count in
-	// their final classification passes, so the base-case test costs
-	// nothing (the paper's |E'| = 0 check; LiveEdges would be an extra
-	// O(n) reduction here).
+	// The machines accumulate the inter-component edge count in their final
+	// classification passes, so the base-case test costs nothing (the
+	// paper's |E'| = 0 check; LiveEdges would be an extra O(n) reduction
+	// here, and falls short once a dense level dropped a ball's lists).
 	cut := res.EdgesOut
 	end := obs.LevelEnd{
 		Level:      level,
@@ -469,14 +496,14 @@ func (m *ccMachine) ccLevel(w *decomp.WGraph, level int, edges int64) ([]int32, 
 	var rep []int32
 	var edgesOut int64
 	if rec == nil {
-		rep, edgesOut = m.contract(procs, w, sub, labels)
+		rep, edgesOut = m.contract(procs, w, sub, res)
 	} else {
-		m.stepProcs, m.stepW, m.stepSub, m.stepLabels = procs, w, sub, labels
+		m.stepProcs, m.stepW, m.stepSub, m.stepRes = procs, w, sub, res
 		pprof.Do(context.Background(),
 			pprof.Labels("parconn_level", levelLabels[level], "parconn_phase", "contract"),
 			m.fnContract)
 		rep, edgesOut = m.ctRep, m.ctEdgesOut
-		m.stepProcs, m.stepW, m.stepSub, m.stepLabels = 0, nil, nil, nil
+		m.stepProcs, m.stepW, m.stepSub, m.stepRes = 0, nil, nil, decomp.Result{}
 		m.ctRep = nil
 	}
 	ctDur := time.Since(tCt)
@@ -535,9 +562,12 @@ const pairGrain = 4 * parallel.BaseFrontierGrain
 // (one on a tiny level, where no section forks): components become
 // vertices, intra-component edges are already gone, duplicate
 // inter-component edges are removed per opt.Dedup, and singleton components
-// (no remaining edges) are dropped. Every pass runs over surviving edges
-// except the two reads of the degree array: the pairs are keyed by center
-// ids, so no n-wide renumbering happens. It returns the center of each
+// (no remaining edges) are dropped. res is w's decomposition: its labels,
+// and the ball whose lists it dropped, each entry targeting which also
+// yields its reverse pair (res.EdgesOut counts both). Every pass runs over
+// surviving edges except the two reads of the degree array: the pairs are
+// keyed by center ids, so no n-wide renumbering happens. It returns the
+// center of each
 // contracted vertex (rep, arena-acquired; the caller releases it after
 // RELABELUP) and the directed edge count of the contracted graph. Scratch
 // internal to one step (block offsets, pairs, hash slots, sort buffer, idx)
@@ -545,10 +575,10 @@ const pairGrain = 4 * parallel.BaseFrontierGrain
 // it.
 //
 //parconn:allow scratchlifetime ownership transfers by contract: sub plus the returned buffers are released by the caller's level epilogue
-func (m *ccMachine) contract(procs int, w *decomp.WGraph, sub *decomp.WGraph, labels []int32) (rep []int32, edgesOut int64) {
+func (m *ccMachine) contract(procs int, w *decomp.WGraph, sub *decomp.WGraph, res decomp.Result) (rep []int32, edgesOut int64) {
 	ws, pool := m.ws, m.pool
 	n := w.N
-	m.w, m.labels = w, labels
+	m.w, m.labels, m.drop = w, res.Labels, res.Dropped()
 
 	blockOut := ws.Int64((n + pairGrain - 1) / pairGrain)
 	m.blockOut = blockOut
@@ -557,9 +587,17 @@ func (m *ccMachine) contract(procs int, w *decomp.WGraph, sub *decomp.WGraph, la
 	bits := uint(intsort.Bits(uint64(max(1, n-1))))
 	m.bits = bits
 	m.mask = uint64(1)<<bits - 1
-	pairs := ws.Uint64(int(total))
+	size := total
+	if m.drop != decomp.NoBall {
+		size = res.EdgesOut // the reverse pairs follow the forward ones
+	}
+	pairs := ws.Uint64(int(size))
 	m.pairs = pairs
+	m.revCursor.Store(total)
 	pool.Blocks(procs, n, pairGrain, m.fnPairs)
+	if m.revCursor.Load() != size {
+		panic("core: the reverse pairs do not fill the decomposition's cut count")
+	}
 	ws.PutInt64(blockOut)
 	m.blockOut = nil
 

@@ -18,8 +18,12 @@
 // deleted on the fly, inter-component edges are compacted to the front of
 // each vertex's edge segment and their targets relabeled to the owning
 // component's id (the paper's in-place packing described in §4). After
-// Decompose returns, WGraph holds exactly the inter-component edges, ready
-// for contraction.
+// Decompose returns, WGraph holds every inter-component edge, ready for
+// contraction: Min, Arb and sparse-only ArbHybrid levels hold both
+// directions, and an ArbHybrid level that ran a dense round drops the edge
+// lists of its largest ball L (Result.Dropped), so each inter-component
+// edge with one endpoint in L's ball is held once, in the other endpoint's
+// list, with target L; contraction emits the reverse.
 package decomp
 
 import (
@@ -184,13 +188,28 @@ type Result struct {
 	// decomposition — the contention the paper's arbitrary tie-breaking
 	// tolerates instead of serializing.
 	CASRetries int64
-	// EdgesOut is the number of directed inter-component edges surviving
-	// in the WGraph after the decomposition — exactly what LiveEdges would
-	// report, accumulated for free in the machines' final classification
-	// passes so the connectivity driver needs no extra reduction to decide
-	// its base case.
+	// EdgesOut is the number of directed inter-component edges of the
+	// decomposed graph: the entries the WGraph holds plus one implied
+	// reverse per entry that targets Dropped (so LiveEdges falls short of
+	// it when a ball's lists were dropped). The machines accumulate it in
+	// their final classification passes, so the connectivity driver needs
+	// no extra reduction to decide its base case.
 	EdgesOut int64
+	// dropped is the label of the ball whose lists were dropped, plus one,
+	// so the zero value names none: label 0 is a valid label.
+	dropped int32
 }
+
+// NoBall is what Result.Dropped returns when no ball's lists were dropped.
+const NoBall = int32(-1)
+
+// Dropped returns the label L of the ball whose edge lists the hybrid's
+// filterEdges emptied, or NoBall. Every inter-component edge with one
+// endpoint in L's ball is then held once, in the other endpoint's list,
+// with target L; a consumer that needs both directions adds (L, label of
+// the holder) for each entry that targets L. Min, Arb and hybrid levels
+// that never went dense drop nothing.
+func (r Result) Dropped() int32 { return r.dropped - 1 }
 
 // Decompose runs the selected variant on g, destructively (see package doc).
 func Decompose(g *WGraph, variant Variant, opt Options) (Result, error) {

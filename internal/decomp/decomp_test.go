@@ -1,6 +1,7 @@
 package decomp
 
 import (
+	"maps"
 	"testing"
 	"time"
 
@@ -30,7 +31,8 @@ func testGraphs() map[string]*graph.Graph {
 // checkDecomposition verifies the full contract of a decomposition run:
 // every vertex is labeled with a center id, partitions are internally
 // connected with radius bounded by the round count, and the working graph
-// retains exactly the inter-partition edges, relabeled to component ids.
+// retains the inter-partition edges, relabeled to component ids, one-sided
+// for the dropped ball (Result.Dropped).
 func checkDecomposition(t *testing.T, g0 *graph.Graph, w *WGraph, res Result, rounds []obs.Round) {
 	t.Helper()
 	n := g0.N
@@ -86,9 +88,27 @@ func checkDecomposition(t *testing.T, g0 *graph.Graph, w *WGraph, res Result, ro
 		t.Fatalf("partitions not internally connected: reached %d/%d", reached, n)
 	}
 
-	// The working graph must hold exactly the inter-partition directed
-	// edges of the original graph, targets relabeled to component ids.
-	wantCut := graph.InducedSubgraphCheck(g0, labels)
+	// The working graph must hold the inter-partition directed edges of the
+	// original graph, targets relabeled to component ids: every one, except
+	// that the lists of the dropped ball L are empty and each of its edges
+	// is held once, on the other side, with target L. As a multiset, the
+	// kept (label(v), target) entries plus one (L, label(v)) per entry that
+	// targets L must be the input's (label(u), label(w)) cut pairs.
+	drop := res.Dropped()
+	if drop != NoBall && (drop < 0 || int(drop) >= n || labels[drop] != drop) {
+		t.Fatalf("dropped ball %d is not a center", drop)
+	}
+	want := map[[2]int32]int{}
+	var wantCut int64
+	for u := 0; u < n; u++ {
+		for _, x := range g0.Neighbors(int32(u)) {
+			if lu, lx := labels[u], labels[x]; lu != lx {
+				want[[2]int32{lu, lx}]++
+				wantCut++
+			}
+		}
+	}
+	got := map[[2]int32]int{}
 	var gotCut int64
 	for v := 0; v < n; v++ {
 		start := w.Offs[v]
@@ -98,6 +118,9 @@ func checkDecomposition(t *testing.T, g0 *graph.Graph, w *WGraph, res Result, ro
 		if int64(w.Deg[v]) > w.Offs[v+1]-start {
 			t.Fatalf("Deg[%d]=%d exceeds segment", v, w.Deg[v])
 		}
+		if labels[v] == drop && w.Deg[v] != 0 {
+			t.Fatalf("vertex %d of the dropped ball %d keeps %d edges", v, drop, w.Deg[v])
+		}
 		for i := int64(0); i < int64(w.Deg[v]); i++ {
 			e := w.Adj[start+i]
 			if e < 0 || int(e) >= n || labels[e] != e || !centers[e] {
@@ -106,14 +129,22 @@ func checkDecomposition(t *testing.T, g0 *graph.Graph, w *WGraph, res Result, ro
 			if e == labels[v] {
 				t.Fatalf("kept edge of %d points to its own component %d", v, e)
 			}
+			got[[2]int32{labels[v], e}]++
 			gotCut++
+			if e == drop {
+				got[[2]int32{drop, labels[v]}]++
+				gotCut++
+			}
 		}
 	}
 	if gotCut != wantCut {
-		t.Fatalf("kept %d inter edges, induced cut is %d", gotCut, wantCut)
+		t.Fatalf("kept edges stand for %d inter edges, induced cut is %d", gotCut, wantCut)
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("kept edges are not the cut pairs as a multiset (dropped ball %d)", drop)
 	}
 	if res.EdgesOut != gotCut {
-		t.Fatalf("Result.EdgesOut=%d, but the degrees sum to %d", res.EdgesOut, gotCut)
+		t.Fatalf("Result.EdgesOut=%d, but the kept edges stand for %d", res.EdgesOut, gotCut)
 	}
 
 	// Round stats, when collected, must be internally consistent.

@@ -108,7 +108,8 @@ func (f *frontier) begin(g *WGraph, opt Options) {
 	f.pool, f.ws = opt.resolve()
 	f.procs, f.g = parallel.Workers(opt.Procs), g
 	f.liveEdges = g.Offs[g.N]
-	f.avgDeg = max(f.liveEdges/int64(g.N), 1)
+	// Rounded to nearest, so a line (degree 2 less its two ends) reads 2.
+	f.avgDeg = max((f.liveEdges+int64(g.N)/2)/int64(g.N), 1)
 	f.retries.Reset()
 	f.liveOut.Reset()
 }

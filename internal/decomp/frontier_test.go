@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"testing"
 
 	"parconn/internal/graph"
@@ -125,5 +126,35 @@ func TestFrontierInvariants(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestAvgDegRounds checks the level's average degree, which sizes the
+// frontier grains: it is rounded to the nearest integer, so a line reads 2
+// (not 1, as truncating its 2 - 2/n did) and rMat's 10.17 reads 10.
+func TestAvgDegRounds(t *testing.T) {
+	rmat := graph.RMat(10, graph.RMatOptions{EdgeFactor: 5, Seed: 1})
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		want int64
+	}{
+		{"line", graph.Line(5000, 1), 2},
+		{"star", graph.Star(100), 2},
+		{"edgeless", graph.FromEdges(10, nil, graph.BuildOptions{}), 1},
+		{"rmat", rmat, int64(math.Round(float64(rmat.NumDirected()) / float64(rmat.N)))},
+	} {
+		var f frontier
+		f.init()
+		f.begin(NewWGraph(parallel.Default(), 1, c.g), Options{Procs: 1})
+		if f.avgDeg != c.want {
+			t.Errorf("%s: avgDeg %d, want %d", c.name, f.avgDeg, c.want)
+		}
+	}
+	var f frontier
+	f.init()
+	f.begin(&WGraph{N: 4, Offs: []int64{0, 2, 5, 8, 10}}, Options{})
+	if f.avgDeg != 3 { // 10/4 = 2.5 rounds up
+		t.Errorf("avgDeg of 10 edges on 4 vertices is %d, want 3", f.avgDeg)
 	}
 }

@@ -1,6 +1,7 @@
 package decomp
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -38,6 +39,9 @@ type hybridMachine struct {
 	frontRound  []int32
 	frontFilled bool
 	r32         int32
+	// drop is the label of the ball whose lists filterEdges drops
+	// (Result.Dropped), or NoBall on a level that never went dense.
+	drop int32
 	// explored estimates the edge mass of frontiers already processed, so
 	// liveEdges-explored bounds the edges a dense pass could still touch.
 	explored       int64
@@ -191,28 +195,62 @@ func newHybridMachine() *hybridMachine {
 	// restored. The rest hold raw original lists (claimed during a round but
 	// never push-processed) or the mixed marked/raw lists a fused dense
 	// adoption leaves behind.
+	//
+	// On a level that went dense, the lists of the ball labeled drop are
+	// emptied whatever their kind, unread: each of that ball's
+	// inter-component edges is also an entry targeting drop in the other
+	// endpoint's list, which contraction reverses. A sparse-classified list
+	// of the ball was counted when its round ran, so its count comes off
+	// again; every kept entry targeting drop counts once more, for the
+	// reverse it stands for.
 	m.fnFilter = func(lo, hi int) {
-		g, c := m.g, m.c
-		var kept int64
+		g, c, drop := m.g, m.c, m.drop
+		var kept, rev int64
 		for v := lo; v < hi; v++ {
 			d := g.Deg[v]
-			if d < 0 {
+			// A level that dropped nothing (a line's, say) only restores
+			// complemented degrees; testing drop first keeps this branch
+			// predictable on a dense level.
+			if drop == NoBall && d < 0 {
 				g.Deg[v] = ^d
 				continue
 			}
+			// An edgeless list and a list of the dropped ball take one
+			// branch, which on a dense level nearly every vertex takes;
+			// the mask selects without another branch: d>>31 is -1 for a
+			// complemented degree, whose k = ^d comes off, and 0
+			// otherwise. filterEdges runs after the last BFS join barrier;
+			// c is read-only here.
+			if d == 0 || drop != NoBall && c[v] == drop {
+				kept -= int64(^d & (d >> 31))
+				g.Deg[v] = 0
+				continue
+			}
+			if d < 0 {
+				g.Deg[v] = ^d
+				start := g.Offs[v]
+				for _, e := range g.Adj[start : start+int64(^d)] {
+					if e == drop {
+						rev++
+					}
+				}
+				continue
+			}
 			start := g.Offs[v]
-			// filterEdges runs after the last BFS join barrier; c is
-			// read-only here.
 			cv := c[v]
 			var k int64
 			for i := int64(0); i < int64(d); i++ {
 				e := g.Adj[start+i]
-				if e < 0 {
-					g.Adj[start+k] = -e - 1
-					k++
-				} else if cw := c[e]; cw != cv {
-					g.Adj[start+k] = cw
-					k++
+				t := -e - 1 // a sign-marked entry is classified already
+				if e >= 0 {
+					if t = c[e]; t == cv {
+						continue
+					}
+				}
+				g.Adj[start+k] = t
+				k++
+				if t == drop {
+					rev++
 				}
 			}
 			g.Deg[v] = int32(k)
@@ -221,7 +259,7 @@ func newHybridMachine() *hybridMachine {
 		// Every vertex's degree is finalized exactly once — here, or in the
 		// sparse round that complemented it — and counted into liveOut by
 		// whichever pass did it, so the sums stay exact.
-		m.liveOut.Add(retryShard(lo), kept)
+		m.liveOut.Add(retryShard(lo), kept+rev)
 	}
 	return m
 }
@@ -260,18 +298,25 @@ func (m *hybridMachine) run(g *WGraph, opt Options) Result {
 	m.explored = 0
 	m.denseThreshold = int(opt.DenseFrac * float64(n))
 	c := m.ws.Int32(n)
-	m.c = c
+	m.c, m.frontFilled = c, false
 	if m.denseThreshold < n {
 		// frontRound[v] is the last round at which v was on a dense
 		// round's frontier; the dense pass tests membership with it
 		// instead of a bitmap (no per-round clearing needed). It is filled
 		// only at the level's first dense round, so a level that never
 		// goes dense holds it but never touches it.
-		m.frontRound, m.frontFilled = m.ws.Int32(n), false
+		m.frontRound = m.ws.Int32(n)
 	}
 	st := m.rounds(opt, entry{deg: g.Deg, c: c}, t0)
 
 	tFilter := now()
+	m.drop = NoBall
+	if m.frontFilled {
+		// Dense rounds leave lists unclassified, and one ball tends to
+		// swallow most of the level: filterEdges drops that ball's lists.
+		// Which ball is dropped changes only the speed, never the output.
+		m.drop = largestBall(c)
+	}
 	m.pool.Blocks(m.procs, n, parallel.FrontierGrain(m.procs, n, m.liveEdges, 0), m.fnFilter)
 	dFilter := time.Since(tFilter)
 	if rec := opt.Recorder; rec != nil {
@@ -284,6 +329,34 @@ func (m *hybridMachine) run(g *WGraph, opt Options) Result {
 		m.ws.PutInt32(m.frontRound)
 	}
 	m.c, m.frontRound = nil, nil
+	res := m.result(c, st)
+	res.dropped = m.drop + 1
 	//parconn:allow scratchlifetime Labels ownership transfers to the caller, who releases it after RELABELUP
-	return m.result(c, st)
+	return res
+}
+
+// ballSample is how many evenly spaced labels largestBall reads.
+const ballSample = 1024
+
+// largestBall guesses the label of the level's largest ball: the most
+// frequent of ballSample evenly spaced labels of c, ties to the smaller
+// label. The sample lives on the stack and depends on c alone, so the guess
+// allocates nothing and is deterministic for given labels.
+func largestBall(c []int32) int32 {
+	var s [ballSample]int32
+	n := len(c)
+	for i := range s {
+		s[i] = c[i*n/ballSample]
+	}
+	slices.Sort(s[:])
+	best, bestRun, run := s[0], 0, 0
+	for i, l := range s {
+		if i > 0 && l != s[i-1] {
+			run = 0
+		}
+		if run++; run > bestRun {
+			best, bestRun = l, run
+		}
+	}
+	return best
 }

@@ -69,8 +69,9 @@ func (c *wgraphCopy) run(pool *parallel.Pool, w *WGraph, g *graph.Graph, procs i
 // LiveEdges returns the current number of live directed edges (sum of Deg),
 // summed on pool p. CC does not call it per level (the decomposition
 // machines report Result.EdgesOut from their classification passes
-// instead); its callers are cold-path consumers like the spanner and
-// CutEdges stats.
+// instead), and after a hybrid level that dropped a ball's lists it falls
+// short of the cut (see Result.Dropped); its caller is the spanner, whose
+// Arb decomposition keeps every list.
 func (w *WGraph) LiveEdges(p *parallel.Pool, procs int) int64 {
 	if parallel.Procs(procs) == 1 || w.N < parallel.DefaultGrain {
 		var total int64

@@ -285,9 +285,15 @@ func Validate(events []Event) (Summary, error) {
 			if openLevel != e.Level {
 				return s, fmt.Errorf("event %d: level_end %d does not match open level %d", i, e.Level, openLevel)
 			}
-			if e.EdgesOut > e.EdgesIn {
-				return s, fmt.Errorf("event %d: level %d edges_out %d exceeds edges_in %d",
-					i, e.Level, e.EdgesOut, e.EdgesIn)
+			// The decomposition cuts a subset of the entering edges, and
+			// contraction only removes pairs from the cut.
+			if e.EdgesCut > e.EdgesIn {
+				return s, fmt.Errorf("event %d: level %d edges_cut %d exceeds edges_in %d",
+					i, e.Level, e.EdgesCut, e.EdgesIn)
+			}
+			if e.EdgesOut > e.EdgesCut {
+				return s, fmt.Errorf("event %d: level %d edges_out %d exceeds edges_cut %d",
+					i, e.Level, e.EdgesOut, e.EdgesCut)
 			}
 			if e.EdgesCut < 0 || e.EdgesOut < 0 || e.Rounds < 0 || e.CASRetries < 0 {
 				return s, fmt.Errorf("event %d: level %d has negative counts", i, e.Level)

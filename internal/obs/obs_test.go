@@ -203,7 +203,9 @@ func TestValidateRejects(t *testing.T) {
 		"level-skip":      {{KindRunStart, run}, {KindLevelStart, LevelStart{Level: 1}}},
 		"mismatched-end":  {{KindRunStart, run}, {KindLevelStart, LevelStart{Level: 0}}, {KindLevelEnd, LevelEnd{Level: 1}}},
 		"edges-grow":      {{KindRunStart, run}, {KindLevelStart, LevelStart{Level: 0, EdgesIn: 4}}, {KindLevelEnd, LevelEnd{Level: 0, EdgesIn: 4}}, {KindLevelStart, LevelStart{Level: 1, EdgesIn: 9}}},
-		"out-exceeds-in":  {{KindRunStart, run}, {KindLevelStart, LevelStart{Level: 0, EdgesIn: 4}}, {KindLevelEnd, LevelEnd{Level: 0, EdgesIn: 4, EdgesOut: 5}}},
+		"out-exceeds-in":  {{KindRunStart, run}, {KindLevelStart, LevelStart{Level: 0, EdgesIn: 4}}, {KindLevelEnd, LevelEnd{Level: 0, EdgesIn: 4, EdgesCut: 4, EdgesOut: 5}}},
+		"out-exceeds-cut": {{KindRunStart, run}, {KindLevelStart, LevelStart{Level: 0, EdgesIn: 4}}, {KindLevelEnd, LevelEnd{Level: 0, EdgesIn: 4, EdgesCut: 2, EdgesOut: 3}}},
+		"cut-exceeds-in":  {{KindRunStart, run}, {KindLevelStart, LevelStart{Level: 0, EdgesIn: 4}}, {KindLevelEnd, LevelEnd{Level: 0, EdgesIn: 4, EdgesCut: 6}}},
 		"meta-in-run":     {{KindRunStart, run}, {KindMeta, Meta{}}, {KindRunEnd, RunEnd{}}},
 		"unknown-phase":   {{KindPhase, Phase{Name: "warp_drive"}}},
 		"unknown-counter": {{KindCounter, Counter{Name: "bogus"}}},
