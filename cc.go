@@ -176,14 +176,14 @@ func (o Options) validate() error {
 		// Negated comparisons so NaN (which fails every ordered comparison)
 		// is rejected instead of waved through.
 		if o.Beta != 0 && !(o.Beta > 0 && o.Beta < 1) {
-			return fmt.Errorf("parconn: Beta %v outside (0,1); zero selects the default 0.2", o.Beta)
+			return fmt.Errorf("parconn: Beta %v outside (0,1); zero selects the default %v", o.Beta, decomp.DefaultBeta)
 		}
 		if o.DenseFrac != 0 && !(o.DenseFrac > 0 && o.DenseFrac <= 1) {
-			return fmt.Errorf("parconn: DenseFrac %v outside (0,1]; zero selects the default 0.2", o.DenseFrac)
+			return fmt.Errorf("parconn: DenseFrac %v outside (0,1]; zero selects the default %v", o.DenseFrac, decomp.DefaultDenseFrac)
 		}
 	case LDDUnionFind:
 		if o.Beta != 0 && !(o.Beta > 0 && o.Beta < 1) {
-			return fmt.Errorf("parconn: Beta %v outside (0,1); zero selects the default 0.2", o.Beta)
+			return fmt.Errorf("parconn: Beta %v outside (0,1); zero selects the default %v", o.Beta, decomp.DefaultBeta)
 		}
 	}
 	if o.EdgeParallel < 0 {
@@ -211,7 +211,7 @@ func ConnectedComponents(g *Graph, opt Options) ([]int32, error) {
 	switch opt.Algorithm {
 	case DecompArbHybrid, DecompArb, DecompMin, LDDUnionFind:
 		if beta == 0 {
-			beta = 0.2
+			beta = decomp.DefaultBeta
 		}
 	default:
 		beta = 0
@@ -346,7 +346,7 @@ func Decompose(g *Graph, opt DecompOptions) (*Decomposition, error) {
 	if rec != nil {
 		beta := opt.Beta
 		if beta == 0 {
-			beta = 0.2
+			beta = decomp.DefaultBeta
 		}
 		env := CaptureEnv()
 		rec.RunStart(RunStart{

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"parconn"
+	"parconn/internal/decomp"
 	"parconn/internal/obs/obshttp"
 )
 
@@ -45,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		degree    = fs.Int("degree", 5, "edges per vertex for random; edge factor for rmat")
 		seed      = fs.Uint64("seed", 42, "random seed (generators and algorithm)")
 		algName   = fs.String("algorithm", "decomp-arb-hybrid-CC", "algorithm (see parconn.Algorithms)")
-		beta      = fs.Float64("beta", 0.2, "decomposition beta")
+		beta      = fs.Float64("beta", decomp.DefaultBeta, "decomposition beta")
 		procs     = fs.Int("procs", 0, "max workers (0 = all cores)")
 		labelsOut = fs.String("labels", "", "write per-vertex labels to this file")
 		topK      = fs.Int("top", 5, "print the K largest components")

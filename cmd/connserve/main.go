@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"parconn"
+	"parconn/internal/decomp"
 	"parconn/internal/obs"
 	"parconn/internal/obs/obshttp"
 	"parconn/internal/serve"
@@ -69,7 +70,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		degree   = fs.Int("degree", 5, "edges per vertex for random; edge factor for rmat")
 		seed     = fs.Uint64("seed", 42, "random seed (generators and algorithm)")
 		algName  = fs.String("algorithm", "decomp-arb-hybrid-CC", "algorithm (see parconn.Algorithms)")
-		beta     = fs.Float64("beta", 0.2, "decomposition beta")
+		beta     = fs.Float64("beta", decomp.DefaultBeta, "decomposition beta")
 		procs    = fs.Int("procs", 0, "max workers for the labeling run (0 = all cores)")
 		maxBatch = fs.Int("max-batch", serve.DefaultMaxBatch, "maximum pairs per /v1/batch or /v1/insert request")
 		topK     = fs.Int("top", 5, "largest components reported by /v1/stats")

@@ -19,7 +19,7 @@ import (
 // the cut.
 func LDDSampledCC(pool *parallel.Pool, procs int, g *graph.Graph, beta float64, seed uint64) ([]int32, error) {
 	if beta == 0 {
-		beta = 0.2
+		beta = decomp.DefaultBeta
 	}
 	w := decomp.NewWGraph(pool, procs, g)
 	res, err := decomp.Decompose(w, decomp.Arb, decomp.Options{Beta: beta, Seed: seed, Procs: procs, Pool: pool})

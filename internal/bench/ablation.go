@@ -31,13 +31,9 @@ func Ablation(cfg Config) {
 			g := in.Make(cfg.Scale)
 			row := []string{name}
 			for _, mode := range []parconn.DedupMode{parconn.DedupHash, parconn.DedupSort, parconn.DedupNone} {
-				d := Median(cfg.Trials, func() {
-					if _, err := parconn.ConnectedComponents(g, parconn.Options{
-						Algorithm: parconn.DecompArb, Dedup: mode, Procs: cfg.Procs, Seed: cfg.Seed,
-					}); err != nil {
-						panic(err)
-					}
-				})
+				d := timeCC(g, parconn.Options{
+					Algorithm: parconn.DecompArb, Dedup: mode, Procs: cfg.Procs, Seed: cfg.Seed,
+				}, cfg.Trials)
 				row = append(row, Seconds(d))
 			}
 			t.Add(row...)
@@ -62,13 +58,9 @@ func Ablation(cfg Config) {
 			g := in.Make(cfg.Scale)
 			row := []string{name}
 			for _, f := range fracs {
-				d := Median(cfg.Trials, func() {
-					if _, err := parconn.ConnectedComponents(g, parconn.Options{
-						Algorithm: parconn.DecompArbHybrid, DenseFrac: f, Procs: cfg.Procs, Seed: cfg.Seed,
-					}); err != nil {
-						panic(err)
-					}
-				})
+				d := timeCC(g, parconn.Options{
+					Algorithm: parconn.DecompArbHybrid, DenseFrac: f, Procs: cfg.Procs, Seed: cfg.Seed,
+				}, cfg.Trials)
 				row = append(row, Seconds(d))
 			}
 			t.Add(row...)
@@ -86,13 +78,9 @@ func Ablation(cfg Config) {
 			if thr > 0 {
 				label = fmt.Sprintf("threshold=%d", thr)
 			}
-			d := Median(cfg.Trials, func() {
-				if _, err := parconn.ConnectedComponents(g, parconn.Options{
-					Algorithm: parconn.DecompArb, EdgeParallel: thr, Procs: cfg.Procs, Seed: cfg.Seed,
-				}); err != nil {
-					panic(err)
-				}
-			})
+			d := timeCC(g, parconn.Options{
+				Algorithm: parconn.DecompArb, EdgeParallel: thr, Procs: cfg.Procs, Seed: cfg.Seed,
+			}, cfg.Trials)
 			t.Add(label, Seconds(d))
 		}
 		emit(cfg, t, "ablation3-edgepar", "Ablation 3. High-degree edge-parallel inner loop, decomp-arb-CC on rMat ef=30 (max degree %d)\n", g.MaxDegree())

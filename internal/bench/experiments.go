@@ -72,13 +72,9 @@ var table2Algorithms = []parconn.Algorithm{
 	parconn.LDDUnionFind,
 }
 
-// runCC runs one labeled measurement and returns the median duration.
+// runCC times alg on g (median of trials) and verifies its answer.
 func runCC(g *parconn.Graph, alg parconn.Algorithm, procs, trials int, seed uint64, rec parconn.Recorder) time.Duration {
-	return Median(trials, func() {
-		if _, err := parconn.ConnectedComponents(g, parconn.Options{Algorithm: alg, Procs: procs, Seed: seed, Recorder: rec}); err != nil {
-			panic(err)
-		}
-	})
+	return timeCC(g, parconn.Options{Algorithm: alg, Procs: procs, Seed: seed, Recorder: rec}, trials)
 }
 
 // Table1 regenerates the paper's Table 1: the input graphs and their sizes
@@ -193,13 +189,9 @@ func Fig3(cfg Config) {
 		for _, beta := range fig3Betas {
 			row := []string{fmt.Sprintf("%.2f", beta)}
 			for _, alg := range algs {
-				d := Median(cfg.Trials, func() {
-					if _, err := parconn.ConnectedComponents(g, parconn.Options{
-						Algorithm: alg, Beta: beta, Procs: cfg.Procs, Seed: cfg.Seed,
-					}); err != nil {
-						panic(err)
-					}
-				})
+				d := timeCC(g, parconn.Options{
+					Algorithm: alg, Beta: beta, Procs: cfg.Procs, Seed: cfg.Seed,
+				}, cfg.Trials)
 				row = append(row, Seconds(d))
 			}
 			t.Add(row...)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"parconn"
 )
 
 // Median times fn over trials runs and returns the median duration — the
@@ -20,6 +22,24 @@ func Median(trials int, fn func()) time.Duration {
 	}
 	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 	return times[trials/2]
+}
+
+// timeCC labels g with opt over trials runs and returns the median
+// duration. The last run's labels are verified once the stopwatch has
+// stopped, so no table reports the time of a wrong answer; a wrong answer
+// panics, like a failed run.
+func timeCC(g *parconn.Graph, opt parconn.Options, trials int) time.Duration {
+	var labels []int32
+	d := Median(trials, func() {
+		var err error
+		if labels, err = parconn.ConnectedComponents(g, opt); err != nil {
+			panic(err)
+		}
+	})
+	if err := parconn.VerifyLabeling(g, labels); err != nil {
+		panic(fmt.Sprintf("%v labeled a graph of %d vertices wrongly: %v", opt.Algorithm, g.NumVertices(), err))
+	}
+	return d
 }
 
 // Seconds formats a duration the way the paper's tables do: seconds with

@@ -78,14 +78,14 @@ type Options struct {
 	// Variant selects the decomposition (Min, Arb, ArbHybrid). The zero
 	// value is Min; most callers want Arb or ArbHybrid.
 	Variant decomp.Variant
-	// Beta is the decomposition parameter; zero means 0.2 (within the
-	// paper's empirically best 0.05-0.2 band).
+	// Beta is the decomposition parameter; zero means decomp.DefaultBeta.
 	Beta float64
 	// Seed drives all randomness; each recursion level derives its own.
 	Seed uint64
 	// Procs bounds worker parallelism; <= 0 means GOMAXPROCS.
 	Procs int
-	// DenseFrac is ArbHybrid's dense-round threshold; zero means 20%.
+	// DenseFrac is ArbHybrid's dense-round threshold; zero means
+	// decomp.DefaultDenseFrac.
 	DenseFrac float64
 	// EdgeParallel, when positive, processes edge lists of frontier
 	// vertices with at least this degree using nested parallelism (§4's
@@ -97,9 +97,10 @@ type Options struct {
 	Dedup DedupMode
 	// Recorder, if non-nil, receives the structured event stream: level
 	// start/end, per-round, per-phase, and end-of-run counter events (see
-	// internal/obs). With a Recorder attached, decomposition levels also run
-	// under pprof labels (parconn_level / parconn_phase) so CPU profiles
-	// attribute samples to the recursion structure. nil costs one pointer
+	// internal/obs). With a Recorder attached, the coordinating goroutine's
+	// samples are also labelled (parconn_level / parconn_phase) so CPU
+	// profiles attribute them to the recursion structure; pool workers
+	// start outside any label scope and carry none. nil costs one pointer
 	// test per site.
 	Recorder obs.Recorder
 	// Pool, if non-nil, supplies the worker pool for the run's parallel
@@ -159,27 +160,15 @@ type ccMachine struct {
 	fnCount, fnPairs, fnInsert, fnFirst, fnRank, fnSubAdj func(lo, hi int)
 	fnRelabelReps, fnShortcut                             func(lo, hi int)
 	fnDistinct                                            func(i int) bool
-
-	// Bound pprof.Do bodies for the recorder path: per-level closure
-	// literals would heap-allocate at each of the O(levels) creations, so
-	// the arguments flow through the fields below instead.
-	dopt                    decomp.Options
-	stepW, stepSub          *decomp.WGraph
-	stepRes                 decomp.Result
-	decompRes               decomp.Result
-	decompErr               error
-	stepProcs               int
-	ctRep                   []int32
-	ctEdgesOut              int64
-	fnDecompose, fnContract func(context.Context)
 }
 
-// levelLabels precomputes the pprof label values for every possible
-// recursion depth so labeling allocates nothing per level.
-var levelLabels = func() [maxLevels + 1]string {
-	var a [maxLevels + 1]string
+// labelCtx holds, for every possible recursion depth, the pprof label
+// contexts of a level's two phases, so labeling allocates nothing per level.
+var labelCtx = func() (a [maxLevels + 1]struct{ decompose, contract context.Context }) {
 	for i := range a {
-		a[i] = strconv.Itoa(i)
+		level := strconv.Itoa(i)
+		a[i].decompose = pprof.WithLabels(context.Background(), pprof.Labels("parconn_level", level, "parconn_phase", "decompose"))
+		a[i].contract = pprof.WithLabels(context.Background(), pprof.Labels("parconn_level", level, "parconn_phase", "contract"))
 	}
 	return a
 }()
@@ -320,12 +309,6 @@ func newCCMachine() *ccMachine {
 			}
 		}
 	}
-	m.fnDecompose = func(context.Context) {
-		m.decompRes, m.decompErr = decomp.Decompose(m.stepW, m.opt.Variant, m.dopt)
-	}
-	m.fnContract = func(context.Context) {
-		m.ctRep, m.ctEdgesOut = m.contract(m.stepProcs, m.stepW, m.stepSub, m.stepRes)
-	}
 	return m
 }
 
@@ -336,10 +319,6 @@ func (m *ccMachine) reset() {
 	m.w, m.labels, m.blockOut, m.pairs = nil, nil, nil, nil
 	m.rep, m.idx = nil, nil
 	m.subOffs, m.subAdj, m.subDeg, m.subLabels = nil, nil, nil, nil
-	m.dopt = decomp.Options{}
-	m.stepW, m.stepSub, m.stepRes, m.stepProcs = nil, nil, decomp.Result{}, 0
-	m.decompRes, m.decompErr = decomp.Result{}, nil
-	m.ctRep = nil
 }
 
 // CC computes a connected-components labeling of g. The returned labeling
@@ -349,7 +328,7 @@ func (m *ccMachine) reset() {
 func CC(g *graph.Graph, opt Options) ([]int32, error) {
 	opt.Procs = parallel.Procs(opt.Procs)
 	if opt.Beta == 0 {
-		opt.Beta = 0.2
+		opt.Beta = decomp.DefaultBeta
 	}
 	// Negated comparison so NaN (which fails every ordered comparison) is
 	// rejected rather than waved through into the shift computation.
@@ -435,8 +414,12 @@ func (m *ccMachine) ccLevel(w *decomp.WGraph, level int, edges int64) ([]int32, 
 	// Step 1: decompose. Each level derives an independent seed so repeated
 	// decompositions do not reuse the same permutation. With a recorder
 	// attached the level opens with its entering sizes and the
-	// decomposition runs under pprof labels.
-	dopt := decomp.Options{
+	// decomposition's samples on this goroutine carry pprof labels.
+	if rec != nil {
+		rec.LevelStart(obs.LevelStart{Level: level, Vertices: w.N, EdgesIn: edges})
+		pprof.SetGoroutineLabels(labelCtx[level].decompose)
+	}
+	res, err := decomp.Decompose(w, m.opt.Variant, decomp.Options{
 		Beta:         m.opt.Beta,
 		Seed:         m.opt.Seed + uint64(level)*0x9e3779b97f4a7c15,
 		Procs:        procs,
@@ -447,19 +430,9 @@ func (m *ccMachine) ccLevel(w *decomp.WGraph, level int, edges int64) ([]int32, 
 		Pool:         m.pool,
 		Workspace:    m.ws,
 		Scratch:      &m.scratch,
-	}
-	var res decomp.Result
-	var err error
-	if rec == nil {
-		res, err = decomp.Decompose(w, m.opt.Variant, dopt)
-	} else {
-		rec.LevelStart(obs.LevelStart{Level: level, Vertices: w.N, EdgesIn: edges})
-		m.stepW, m.dopt = w, dopt
-		pprof.Do(context.Background(),
-			pprof.Labels("parconn_level", levelLabels[level], "parconn_phase", "decompose"),
-			m.fnDecompose)
-		res, err = m.decompRes, m.decompErr
-		m.stepW, m.decompRes, m.decompErr = nil, decomp.Result{}, nil
+	})
+	if rec != nil {
+		pprof.SetGoroutineLabels(context.Background())
 	}
 	if err != nil {
 		return nil, err
@@ -489,25 +462,17 @@ func (m *ccMachine) ccLevel(w *decomp.WGraph, level int, edges int64) ([]int32, 
 		return labels, nil
 	}
 
-	// Step 2: contract (timed as the paper's "contractGraph" phase; under
-	// pprof labels on the recorder path, via the bound closure).
+	// Step 2: contract (timed as the paper's "contractGraph" phase; labelled
+	// like the decomposition on the recorder path).
 	tCt := now()
 	sub := &m.levels[level+1]
-	var rep []int32
-	var edgesOut int64
-	if rec == nil {
-		rep, edgesOut = m.contract(procs, w, sub, res)
-	} else {
-		m.stepProcs, m.stepW, m.stepSub, m.stepRes = procs, w, sub, res
-		pprof.Do(context.Background(),
-			pprof.Labels("parconn_level", levelLabels[level], "parconn_phase", "contract"),
-			m.fnContract)
-		rep, edgesOut = m.ctRep, m.ctEdgesOut
-		m.stepProcs, m.stepW, m.stepSub, m.stepRes = 0, nil, nil, decomp.Result{}
-		m.ctRep = nil
+	if rec != nil {
+		pprof.SetGoroutineLabels(labelCtx[level].contract)
 	}
+	rep, edgesOut := m.contract(procs, w, sub, res)
 	ctDur := time.Since(tCt)
 	if rec != nil {
+		pprof.SetGoroutineLabels(context.Background())
 		rec.Counter(obs.Counter{Name: obs.CounterHashedPairs, Value: m.hashed})
 		end.EdgesOut = edgesOut
 		rec.LevelEnd(end)

@@ -69,18 +69,26 @@ func (v Variant) String() string {
 // unvisited marks a vertex no BFS has reached yet (Arb / ArbHybrid).
 const unvisited = int32(-1)
 
+// The defaults a zero Options.Beta and Options.DenseFrac select: a Beta
+// inside the paper's empirically best 0.05-0.2 band (Figure 3), and the
+// paper's 20% dense-round threshold.
+const (
+	DefaultBeta      = 0.2
+	DefaultDenseFrac = 0.2
+)
+
 // Options configures a decomposition.
 type Options struct {
 	// Beta is the decomposition parameter: ball radii are O(log n / Beta)
 	// and at most Beta*m (2*Beta*m for Arb variants) edges cross partitions
-	// in expectation. Must be in (0, 1). Zero means the default 0.2.
+	// in expectation. Must be in (0, 1). Zero means DefaultBeta.
 	Beta float64
 	// Seed drives the random permutation and the fractional shifts.
 	Seed uint64
 	// Procs bounds worker parallelism; <= 0 means GOMAXPROCS.
 	Procs int
 	// DenseFrac is the frontier fraction above which ArbHybrid switches to
-	// the read-based dense round. Zero means the paper's 20%.
+	// the read-based dense round. Zero means DefaultDenseFrac.
 	DenseFrac float64
 	// EdgeParallel, when positive, processes the edge lists of frontier
 	// vertices whose live degree is at least this threshold with a nested
@@ -141,10 +149,10 @@ func (o Options) resolve() (*parallel.Pool, *workspace.Arena) {
 
 func (o Options) withDefaults() Options {
 	if o.Beta == 0 {
-		o.Beta = 0.2
+		o.Beta = DefaultBeta
 	}
 	if o.DenseFrac == 0 {
-		o.DenseFrac = 0.2
+		o.DenseFrac = DefaultDenseFrac
 	}
 	o.Procs = parallel.Procs(o.Procs)
 	return o

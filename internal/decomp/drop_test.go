@@ -25,34 +25,35 @@ func (p *preFilter) Round(e obs.Round) {
 	p.deg, p.adj = slices.Clone(p.w.Deg), slices.Clone(p.w.Adj)
 }
 
-// List kinds filterEdges can meet in the dropped ball.
+// The two list kinds filterEdges can meet.
 const (
-	rawList    = iota // on a dense round's frontier, never processed
-	mixedList         // adopted in a dense round and pre-filtered there
+	rawList    = iota // no sparse round processed it: the level's input list
 	sparseList        // classified by a sparse round (degree complemented)
 )
 
-// listKind classifies v's list in the pre-filter copy p against the input
-// g0. An adoption deletes at least the edge to the adopted neighbor, so a
-// list that still holds all of v's input edges, unmarked, is raw.
-func (p *preFilter) listKind(g0 *graph.Graph, v int32) int {
+// listKind classifies v's list in the pre-filter copy p. Only a sparse round
+// writes a list before filterEdges, so a list with a non-negative degree
+// must still be v's whole input list in g0: no list is mixed.
+func (p *preFilter) listKind(t *testing.T, g0 *graph.Graph, v int32) int {
+	t.Helper()
 	d := p.deg[v]
-	switch {
-	case d < 0:
+	if d < 0 {
 		return sparseList
-	case int64(d) == g0.Offs[v+1]-g0.Offs[v] && slices.Equal(p.adj[g0.Offs[v]:g0.Offs[v+1]], g0.Neighbors(v)):
-		return rawList
-	default:
-		return mixedList
 	}
+	in := g0.Neighbors(v)
+	if int(d) != len(in) || !slices.Equal(p.adj[g0.Offs[v]:g0.Offs[v]+int64(d)], in) {
+		t.Fatalf("vertex %d enters filterEdges with degree %d, not its input list of %d edges", v, d, len(in))
+	}
+	return rawList
 }
 
 // TestHybridDropsLargestBall runs the hybrid with dense thresholds low
 // enough to go dense on rMat, random and grid inputs, at 1, 2 and 4 workers.
 // Every level that went dense must drop a ball whose lists are empty
-// afterwards and still meet the one-sided contract (checkDecomposition);
-// across the sweep the dropped balls must have held all three list kinds,
-// so filterEdges drops each of them. A line never goes dense and drops
+// afterwards and still meet the one-sided contract (checkDecomposition).
+// Every list entering filterEdges must be raw or sparse-classified, and
+// across the sweep the dropped balls must have held both kinds, so
+// filterEdges drops each of them. A line never goes dense and drops
 // nothing.
 func TestHybridDropsLargestBall(t *testing.T) {
 	inputs := map[string]*graph.Graph{
@@ -61,7 +62,7 @@ func TestHybridDropsLargestBall(t *testing.T) {
 		"grid3d":   graph.Grid3D(14, 2),
 		"union":    graph.Components(graph.RMat(10, graph.RMatOptions{EdgeFactor: 5, Seed: 4}), graph.Star(800), graph.Line(1000, 2)),
 	}
-	var kinds [3]int
+	var kinds [2]int
 	for name, g := range inputs {
 		for _, frac := range []float64{0.01, 0.001} {
 			for _, procs := range []int{1, 2, 4} {
@@ -83,16 +84,16 @@ func TestHybridDropsLargestBall(t *testing.T) {
 						t.Fatalf("dense rounds %v, but dropped ball %d", dense, drop)
 					}
 					for v, l := range res.Labels {
-						if l == drop {
-							kinds[rec.listKind(g, int32(v))]++
+						if k := rec.listKind(t, g, int32(v)); l == drop {
+							kinds[k]++
 						}
 					}
 				})
 			}
 		}
 	}
-	if kinds[rawList] == 0 || kinds[mixedList] == 0 || kinds[sparseList] == 0 {
-		t.Fatalf("dropped balls held raw/mixed/sparse lists %v; want all three kinds", kinds)
+	if kinds[rawList] == 0 || kinds[sparseList] == 0 {
+		t.Fatalf("dropped balls held raw/sparse lists %v; want both kinds", kinds)
 	}
 
 	g := graph.Line(3000, 4)

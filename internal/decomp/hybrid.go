@@ -13,17 +13,19 @@ import (
 // (§4, "Decomp-Arb-Hybrid"): when the frontier holds more than DenseFrac of
 // the vertices, the round switches to a read-based pass in which every
 // unvisited vertex scans its own neighbors for one on the frontier and
-// adopts that neighbor's component — no atomics, early exit, cache-friendly.
+// adopts that neighbor's component — no CAS, early exit, cache-friendly.
 //
 // Unlike a plain BFS, connectivity must eventually classify every edge as
-// intra- or inter-component; dense rounds skip that work, so a filterEdges
-// post-pass classifies whatever the BFS did not touch. A sparse round
-// classifies the whole list of every frontier vertex it processes, so it
-// writes plain relabeled entries and records the vertex as fully classified
-// by storing its final degree k as Deg[v] = ^k (negative): the claim loop
-// already holds that line. filterEdges restores Deg[v] and skips the list.
-// (The paper's §4 per-edge sign marks survive only for the fused dense
-// pass, which leaves mixed classified/raw lists behind.)
+// intra- or inter-component. A dense round only adopts and leaves every
+// list as it found it, so a filterEdges post-pass classifies whatever the
+// BFS did not touch. A sparse round classifies the whole list of every
+// frontier vertex it processes, so it writes plain relabeled entries and
+// records the vertex as fully classified by storing its final degree k as
+// Deg[v] = ^k (negative): the claim loop already holds that line. Every
+// list filterEdges meets is thus one of two kinds: raw (Deg >= 0, the
+// level's input list), which it classifies, or sparse-classified (Deg =
+// ^k), whose degree it restores. No list mixes the two, so the paper's
+// per-edge sign marks are not needed.
 //
 // Only the dense pass reads frontier membership, so only a dense round
 // writes it: frontRound is filled at a level's first dense round and the
@@ -56,15 +58,10 @@ func newHybridMachine() *hybridMachine {
 	m.init()
 	m.bindArbPre()
 	m.step = m.roundStep
-	// Read-based pass with fused edge deletion: every unvisited vertex
-	// looks for any neighbor on the current frontier and adopts its
-	// component (early exit, as in the paper's §4); a vertex that adopts
-	// then classifies its whole edge list in the same CSR pass —
-	// same-component edges are deleted on the fly, known inter-component
-	// edges are sign-marked like the sparse pass's, and edges to
-	// still-unvisited neighbors stay raw for a later round or filterEdges.
-	// On the dominant dense level-0 rounds this replaces the separate
-	// decompose-then-filterEdges sweeps with one fused pass.
+	// Read-based pass: every unvisited vertex looks for any neighbor on the
+	// current frontier and adopts its component (early exit, as in the
+	// paper's §4). It only adopts: the adopted vertex's list stays raw for
+	// the sparse round that processes it, or for filterEdges.
 	m.fnDense = func(lo, hi int) {
 		g, c, frontRound := m.g, m.c, m.frontRound
 		r32 := m.r32
@@ -76,44 +73,19 @@ func newHybridMachine() *hybridMachine {
 				continue
 			}
 			start := g.Offs[int32(w)]
-			d := int64(g.Deg[w])
-			cw := unvisited
-			for i := int64(0); i < d; i++ {
-				u := g.Adj[start+i]
+			for _, u := range g.Adj[start : start+int64(g.Deg[w])] {
 				if frontRound[u] == r32 {
 					// c[u] was fixed before this round's fork barrier.
-					cw = c[u] //parconn:allow mixedatomic frontier labels were published by the previous round's join barrier
+					cw := c[u] //parconn:allow mixedatomic frontier labels were published by the previous round's join barrier
+					// Only w's iteration touches c[w] in this pass, so the
+					// store needs no atomicity; it stays atomic like the
+					// claim loop's CAS on the same slots, which leaves the
+					// two plain reads above as this pass's only exemptions.
+					atomic.StoreInt32(&c[w], cw)
+					out.Push(int32(w))
 					break
 				}
 			}
-			if cw == unvisited {
-				continue
-			}
-			// Publish the adoption atomically: concurrent fused sweeps
-			// read neighbors' slots, and they must observe either
-			// unvisited or the final label.
-			atomic.StoreInt32(&c[w], cw)
-			out.Push(int32(w))
-			var k int64
-			for i := int64(0); i < d; i++ {
-				u := g.Adj[start+i]
-				// A racy read that still sees unvisited while u adopts
-				// concurrently only defers the edge to filterEdges; any
-				// label it does see is u's final one, so the
-				// classification is exact either way (the advisory-stats
-				// argument of DESIGN.md §12 does not even apply here).
-				cu := atomic.LoadInt32(&c[u])
-				switch {
-				case cu == unvisited:
-					g.Adj[start+k] = u // unknown yet: a later round or filterEdges classifies it
-					k++
-				case cu != cw:
-					g.Adj[start+k] = -cu - 1 // inter-component: keep, marked classified
-					k++
-				}
-				// cu == cw: intra-component, deleted on the fly.
-			}
-			g.Deg[w] = int32(k)
 		}
 		out.Flush()
 	}
@@ -135,12 +107,11 @@ func newHybridMachine() *hybridMachine {
 	}
 	// Write-based pass: Decomp-Arb's single CAS pass, walked in staged
 	// batches (stagedLists). It classifies every surviving edge of the
-	// frontier vertex it processes, so it writes plain relabeled entries
-	// (unmarking any a fused dense round already classified) and stores the
-	// final degree complemented — filterEdges skips the list, which on skewed
-	// graphs removes a whole post-pass over the hub lists. Lost CAS races
-	// accumulate in a block-local counter flushed once per claimed block —
-	// never a Recorder call from inside the section.
+	// frontier vertex it processes, so it writes plain relabeled entries and
+	// stores the final degree complemented — filterEdges skips the list,
+	// which on skewed graphs removes a whole post-pass over the hub lists.
+	// Lost CAS races accumulate in a block-local counter flushed once per
+	// claimed block — never a Recorder call from inside the section.
 	m.fnSparse = func(lo, hi int) {
 		g, c, cur := m.g, m.c, m.cur
 		out := parallel.NewAppender(m.nxt, &m.cursor)
@@ -155,14 +126,6 @@ func newHybridMachine() *hybridMachine {
 				var k int64
 				for i := int64(0); i < d; i++ {
 					w := g.Adj[start+i]
-					if w < 0 {
-						// Already classified by a fused dense round (v
-						// adopted there and pre-filtered its list); unmark
-						// in place.
-						g.Adj[start+k] = -w - 1
-						k++
-						continue
-					}
 					if atomic.LoadInt32(&c[w]) == unvisited {
 						if atomic.CompareAndSwapInt32(&c[w], unvisited, cv) {
 							out.Push(w)
@@ -176,8 +139,8 @@ func newHybridMachine() *hybridMachine {
 					}
 				}
 				// Only v's processing round writes Deg[v] once v is on a
-				// frontier: the dense pass reads and writes only unvisited
-				// vertices' degrees. ^k < 0 marks the list fully classified.
+				// frontier: the dense pass reads only unvisited vertices'
+				// degrees. ^k < 0 marks the list fully classified.
 				g.Deg[v] = ^int32(k)
 				kept += k
 			}
@@ -192,9 +155,8 @@ func newHybridMachine() *hybridMachine {
 	// filterEdges: classify every surviving edge the BFS did not. A negative
 	// degree marks a vertex a sparse round processed: its list already holds
 	// plain relabeled entries and was counted then, so only its degree is
-	// restored. The rest hold raw original lists (claimed during a round but
-	// never push-processed) or the mixed marked/raw lists a fused dense
-	// adoption leaves behind.
+	// restored. The rest hold raw input lists: no sparse round processed
+	// their vertex.
 	//
 	// On a level that went dense, the lists of the ball labeled drop are
 	// emptied whatever their kind, unread: each of that ball's
@@ -239,13 +201,10 @@ func newHybridMachine() *hybridMachine {
 			start := g.Offs[v]
 			cv := c[v]
 			var k int64
-			for i := int64(0); i < int64(d); i++ {
-				e := g.Adj[start+i]
-				t := -e - 1 // a sign-marked entry is classified already
-				if e >= 0 {
-					if t = c[e]; t == cv {
-						continue
-					}
+			for _, e := range g.Adj[start : start+int64(d)] {
+				t := c[e]
+				if t == cv {
+					continue
 				}
 				g.Adj[start+k] = t
 				k++

@@ -26,9 +26,8 @@ type stagedLists struct {
 
 // stage loads the list positions of vs (len(vs) <= claimBatch) into s and
 // touches the labels of the first touchCap targets of each list. Lists of
-// degree >= hubCut are not touched when hubCut > 0 (the edge-parallel path
-// scans them), and negative entries are already classified, so neither is
-// a claim candidate.
+// degree >= hubCut are not touched when hubCut > 0: the edge-parallel path
+// scans them.
 func (s *stagedLists) stage(g *WGraph, c []int32, vs []int32, hubCut int64) {
 	offs, deg, adj := g.Offs, g.Deg, g.Adj
 	for j, v := range vs {
@@ -48,10 +47,8 @@ func (s *stagedLists) stage(g *WGraph, c []int32, vs []int32, hubCut int64) {
 		}
 	}
 	for _, w := range s.tgt[:nt] {
-		if w >= 0 {
-			// An atomic load is never dropped as dead code, and it matches
-			// the claim loop's accesses to c.
-			atomic.LoadInt32(&c[w])
-		}
+		// An atomic load is never dropped as dead code, and it matches the
+		// claim loop's accesses to c.
+		atomic.LoadInt32(&c[w])
 	}
 }

@@ -16,10 +16,8 @@ import (
 // already visited under some frontier vertex's label, and the rest are
 // unvisited, so every list mixes claims, lost claims, deletions and kept
 // inter-component edges. Vertex 0 is a hub adjacent to every vertex, its
-// degree far beyond touchCap. When marked is set, every fourth entry that
-// points at a visited vertex is sign-marked the way a fused dense round
-// leaves it.
-func claimFixture(k, n int, marked bool) (*WGraph, []int32, []int32) {
+// degree far beyond touchCap.
+func claimFixture(k, n int) (*WGraph, []int32, []int32) {
 	r := prand.New(uint64(k)*31 + uint64(n))
 	var edges []graph.Edge
 	for v := 1; v < n; v++ {
@@ -44,13 +42,6 @@ func claimFixture(k, n int, marked bool) (*WGraph, []int32, []int32) {
 			c[v] = unvisited
 		}
 	}
-	if marked {
-		for i, w := range g.Adj {
-			if i%4 == 0 && c[w] != unvisited {
-				g.Adj[i] = -c[w] - 1
-			}
-		}
-	}
 	return g, c, cur
 }
 
@@ -64,9 +55,6 @@ func refClaim(g *WGraph, c, cur []int32, complement bool) []int32 {
 		for i := int64(0); i < int64(g.Deg[v]); i++ {
 			w := g.Adj[start+i]
 			switch {
-			case w < 0:
-				g.Adj[start+k] = -w - 1
-				k++
 			case c[w] == unvisited:
 				c[w] = cv
 				nxt = append(nxt, w)
@@ -95,7 +83,7 @@ func TestStagedClaimMatchesReference(t *testing.T) {
 		for _, variant := range []Variant{Arb, ArbHybrid} {
 			t.Run(fmt.Sprintf("%s/frontier=%d", variant, k), func(t *testing.T) {
 				hybrid := variant == ArbHybrid
-				g, c, cur := claimFixture(k, n, hybrid)
+				g, c, cur := claimFixture(k, n)
 				if g.Deg[0] < 2*claimBatch { // 2*claimBatch > touchCap
 					t.Fatalf("hub degree %d is below the touch cap or Arb's edge-parallel cutoff", g.Deg[0])
 				}

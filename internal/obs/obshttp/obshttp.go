@@ -17,8 +17,9 @@
 //	                series, and whatever the command adds
 //	/debug/parconn  JSON snapshot: tool, environment, progress, and recent
 //	                events (flight tail)
-//	/debug/pprof/   CPU/heap/goroutine profiles; decomposition levels run
-//	                under parconn_level/parconn_phase pprof labels
+//	/debug/pprof/   CPU/heap/goroutine profiles; the coordinating
+//	                goroutine's samples are labelled parconn_level/
+//	                parconn_phase (pool workers' are not)
 //
 // Everything here reads through atomics or sink-internal locks, so a
 // snapshot request never blocks the run's coordinating goroutine.
