@@ -36,8 +36,8 @@ trace-smoke:
 
 # Metrics smoke: boot connserve with span sampling on every request, drive
 # each endpoint class (queries, batch, a 4xx, an insert), and assert the
-# /metrics exposition carries the request counters, error taxonomy, rolling
-# latency quantiles, and runtime series — plus a JSONL span trace that
+# /metrics exposition carries the request counters, error taxonomy, latency
+# histograms, and runtime series — plus a JSONL span trace that
 # validates against the schema.
 metrics-smoke:
 	$(GO) test -run 'TestMetricsEndpoint' -count=1 ./cmd/connserve

@@ -12,8 +12,8 @@
 // POST /v1/insert (batched edge insertion into the incremental layer,
 // unless -incremental=false), GET /v1/stats, GET /v1/healthz (see
 // internal/serve), GET /metrics (Prometheus text: request counters, error
-// taxonomy, latency histograms and rolling quantiles, the labeling run's
-// engine series, runtime series), plus the obshttp debug surface
+// taxonomy, latency histograms, the labeling run's engine series, runtime
+// series), plus the obshttp debug surface
 // (/debug/parconn, /debug/pprof/) fed by the labeling run.
 //
 // Every /v1 request carries a Parconn-Trace-Id response header (client

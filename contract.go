@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"parconn/internal/graph"
-	"parconn/internal/hashtable"
-	"parconn/internal/intsort"
 	"parconn/internal/parallel"
 )
 
@@ -50,33 +48,17 @@ func Contract(g *Graph, labels []int32, procs int) (*Graph, []int32, error) {
 			reps[rank[v]] = int32(v)
 		}
 	})
-	// Gather inter-class directed pairs in quotient space.
-	kbits := uint(intsort.Bits(uint64(max(1, k-1))))
+	// Gather inter-class directed pairs in quotient space; the builder
+	// sorts them and drops the duplicates.
 	var pairs []uint64
 	for v := 0; v < n; v++ {
 		src := rank[labels[v]]
 		for _, w := range g.Neighbors(int32(v)) {
-			tgt := rank[labels[w]]
-			if src != tgt {
-				pairs = append(pairs, uint64(uint32(src))<<kbits|uint64(uint32(tgt)))
+			if tgt := rank[labels[w]]; src != tgt {
+				pairs = append(pairs, uint64(uint32(src))<<32|uint64(uint32(tgt)))
 			}
 		}
 	}
-	// Dedup with the phase-concurrent hash table, as in the paper.
-	set := hashtable.NewSet(pool, procs, len(pairs))
-	pool.Blocks(procs, len(pairs), 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			set.Insert(pairs[i])
-		}
-	})
-	pairs = set.Elements(pool, procs)
-	var sorter intsort.Sorter
-	sorter.Sort(pool, procs, pairs, int(2*kbits), nil)
-	// Re-pack to the builder's (u<<32 | v) convention.
-	mask := uint64(1)<<kbits - 1
-	pool.For(procs, len(pairs), func(i int) {
-		pairs[i] = (pairs[i]>>kbits)<<32 | (pairs[i] & mask)
-	})
-	q := graph.FromDirectedPairs(pool, procs, k, pairs, false)
+	q := graph.FromDirectedPairs(pool, procs, k, pairs, true)
 	return &Graph{g: q}, reps, nil
 }

@@ -1,6 +1,7 @@
 package parconn
 
 import (
+	"slices"
 	"testing"
 
 	"parconn/internal/graph"
@@ -61,6 +62,69 @@ func TestContractByDecomposition(t *testing.T) {
 		for _, qb := range q.Neighbors(int32(qa)) {
 			if origLabels[reps[qa]] != origLabels[reps[qb]] {
 				t.Fatal("quotient edge joins different original components")
+			}
+		}
+	}
+}
+
+// TestContractMatchesReference compares the quotient's adjacency lists with
+// a map-based reference on labelings that fold many original edges onto each
+// inter-class pair, so deduplication does real work.
+func TestContractMatchesReference(t *testing.T) {
+	g := Union(RandomGraph(3000, 8, 5), LineGraph(400, 6))
+	d, err := Decompose(g, DecompOptions{Beta: 0.5, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	modular := make([]int32, g.NumVertices())
+	for v := range modular {
+		modular[v] = int32(v % 37) // class representative v%37 is itself canonical
+	}
+	for name, labels := range map[string][]int32{"modular": modular, "decomposition": d.Labels} {
+		for _, procs := range []int{1, 4} {
+			q, reps, err := Contract(g, labels, procs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			index := make(map[int32]int32, len(reps))
+			for i, r := range reps {
+				if labels[r] != r || (i > 0 && reps[i-1] >= r) {
+					t.Fatalf("%s procs=%d: reps[%d]=%d is not the next canonical vertex", name, procs, i, r)
+				}
+				index[r] = int32(i)
+			}
+			want := make([]map[int32]bool, len(reps))
+			for i := range want {
+				want[i] = make(map[int32]bool)
+			}
+			dups := 0
+			for v := 0; v < g.NumVertices(); v++ {
+				a := index[labels[v]]
+				for _, w := range g.Neighbors(int32(v)) {
+					if b := index[labels[w]]; a != b {
+						if want[a][b] {
+							dups++
+						}
+						want[a][b] = true
+					}
+				}
+			}
+			if dups == 0 {
+				t.Fatalf("%s: no duplicate inter-class edges; the case does not exercise dedup", name)
+			}
+			if q.NumVertices() != len(reps) {
+				t.Fatalf("%s procs=%d: quotient n=%d, reps %d", name, procs, q.NumVertices(), len(reps))
+			}
+			for a := range want {
+				got := q.Neighbors(int32(a))
+				exp := make([]int32, 0, len(want[a]))
+				for b := range want[a] {
+					exp = append(exp, b)
+				}
+				slices.Sort(exp)
+				if !slices.Equal(got, exp) {
+					t.Fatalf("%s procs=%d: quotient vertex %d adjacent to %v, want %v", name, procs, a, got, exp)
+				}
 			}
 		}
 	}

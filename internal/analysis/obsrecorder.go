@@ -18,10 +18,9 @@ import (
 //     a span from inside a worker would interleave with the request's own
 //     span and serialize workers on the sink mutex.
 //   - a metrics.Registry registration call (Counter, Gauge, *Func,
-//     HistogramNS, RollingQuantilesNS). Registration takes the registry
-//     mutex and is meant for setup; workers update the returned handles
-//     (Counter.Add, Gauge.Set, RollingHistogram.Record), which are
-//     wait-free.
+//     HistogramNS). Registration takes the registry mutex and is meant for
+//     setup; workers update the returned or registered handles
+//     (Counter.Add, Gauge.Set, obs.Histogram.Record), which are wait-free.
 //
 // Parallel code buffers measurements in block-local scalars, flushes them
 // into an obs.ShardedInt64 or a pre-registered handle, and lets the
@@ -49,7 +48,7 @@ var recorderMethods = map[string]bool{
 // deliberately absent: they are safe from any goroutine.
 var registryMutators = map[string]bool{
 	"Counter": true, "Gauge": true, "GaugeFunc": true, "CounterFunc": true,
-	"HistogramNS": true, "HistogramFunc": true, "RollingQuantilesNS": true,
+	"HistogramNS": true, "HistogramFunc": true,
 }
 
 func (obsRecorder) Run(pass *Pass) []Finding {

@@ -52,9 +52,9 @@ func racyFlightRecorder(fr *obs.FlightRecorder, xs []int) {
 	})
 }
 
-func racyProgressSink(p *obs.Progress, xs []int) {
+func racyJSONLWriterPhase(w *obs.JSONLWriter, xs []int) {
 	pool.Blocks(0, len(xs), 0, func(lo, hi int) {
-		p.Phase(obs.Phase{Name: "init"}) // want "Phase"
+		w.Phase(obs.Phase{Name: "init"}) // want "Phase"
 	})
 }
 
@@ -111,18 +111,20 @@ func racyRegistryRegister(reg *metrics.Registry, xs []int) {
 	})
 }
 
-func racyRegistryRollingRegister(reg *metrics.Registry, rh *metrics.RollingHistogram, xs []int) {
+func racyRegistryHistogramRegister(reg *metrics.Registry, h *obs.Histogram, xs []int) {
 	pool.Blocks(0, len(xs), 0, func(lo, hi int) {
-		reg.RollingQuantilesNS("parconn_worker_latency_seconds", "latency", nil, rh, 0.99) // want "RollingQuantilesNS"
+		reg.HistogramNS("parconn_worker_latency_seconds", "latency", nil, h) // want "HistogramNS"
 	})
 }
 
-func okMetricHandlesFromWorkers(reg *metrics.Registry, rh *metrics.RollingHistogram, xs []int) {
+func okMetricHandlesFromWorkers(reg *metrics.Registry, xs []int) {
 	ops := reg.Counter("parconn_worker_ops_total", "per-worker ops", nil)
 	depth := reg.Gauge("parconn_worker_depth", "queue depth", nil)
+	latency := &obs.Histogram{}
+	reg.HistogramNS("parconn_worker_latency_seconds", "latency", nil, latency)
 	pool.For(0, len(xs), func(i int) {
-		ops.Inc()                 // ok: handle update is wait-free
-		depth.Set(float64(xs[i])) // ok: handle update is wait-free
-		rh.Record(int64(xs[i]))   // ok: rolling histogram records are wait-free
+		ops.Inc()                    // ok: handle update is wait-free
+		depth.Set(float64(xs[i]))    // ok: handle update is wait-free
+		latency.Record(int64(xs[i])) // ok: histogram records are wait-free
 	})
 }

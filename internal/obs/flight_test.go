@@ -83,67 +83,6 @@ func TestFlightRecorderConcurrentRuns(t *testing.T) {
 	}
 }
 
-func TestProgressSnapshot(t *testing.T) {
-	p := NewProgress()
-	if s := p.Snapshot(); s.Running || s.RunsStarted != 0 {
-		t.Fatalf("fresh progress %+v", s)
-	}
-	p.RunStart(RunStart{Algorithm: "decomp-arb", Vertices: 10, Edges: 18, Procs: 4})
-	p.LevelStart(LevelStart{Level: 2, Vertices: 5, EdgesIn: 9})
-	p.Round(Round{Level: 2, Round: 3, Frontier: 4})
-	p.Phase(Phase{Level: 2, Name: PhaseBFSSparse})
-	s := p.Snapshot()
-	if !s.Running || s.Algorithm != "decomp-arb" || s.Level != 2 || s.Round != 3 ||
-		s.Frontier != 4 || s.Phase != PhaseBFSSparse || s.LevelEdges != 9 {
-		t.Fatalf("mid-run snapshot %+v", s)
-	}
-	p.RunEnd(RunEnd{Components: 3, Duration: 10})
-	s = p.Snapshot()
-	if s.Running || s.RunsDone != 1 || s.Components != 3 || s.LastRunNS != 10 {
-		t.Fatalf("post-run snapshot %+v", s)
-	}
-
-	// A failed run surfaces its error and the error count.
-	p.RunStart(RunStart{Algorithm: "decomp-min"})
-	p.RunEnd(RunEnd{Err: "boom"})
-	s = p.Snapshot()
-	if s.Errors != 1 || s.LastErr != "boom" {
-		t.Fatalf("error snapshot %+v", s)
-	}
-
-	// Unknown phase names still display (allocating is fine off the hot set).
-	p.Phase(Phase{Name: "custom_phase"})
-	if s := p.Snapshot(); s.Phase != "custom_phase" {
-		t.Fatalf("unknown phase snapshot %+v", s)
-	}
-}
-
-func TestProgressConcurrentReaders(t *testing.T) {
-	p := NewProgress()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 500; i++ {
-			emitAll(p)
-		}
-	}()
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				s := p.Snapshot()
-				if s.RunsDone > s.RunsStarted {
-					t.Error("runs_done overtook runs_started")
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // TestFlightRecorderWraparoundConcurrentWriters hammers a small ring from
 // many writers so every slot is overwritten hundreds of times, and checks
 // the invariants wraparound must preserve: accounting (dropped + retained

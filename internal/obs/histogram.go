@@ -18,8 +18,8 @@ const HistogramBuckets = 65
 // frontier sizes) in fixed log2-spaced buckets. The zero value is ready to
 // use. Record is wait-free, allocation-free, and safe from any goroutine —
 // the histogram itself is not a Recorder, so it may legally be fed from
-// inside parallel sections — and Snapshot/Merge may run concurrently with
-// recording (they see a near-consistent view: bucket counts are read one
+// inside parallel sections — and Snapshot may run concurrently with
+// recording (it sees a near-consistent view: bucket counts are read one
 // atomic load at a time, so a snapshot taken mid-record can be off by the
 // in-flight sample).
 type Histogram struct {
@@ -74,44 +74,6 @@ func (h *Histogram) Record(v int64) {
 			break
 		}
 	}
-}
-
-// Merge adds o's counts into h. Both histograms may be live.
-func (h *Histogram) Merge(o *Histogram) {
-	for i := range o.buckets {
-		if n := o.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(o.count.Load())
-	h.sum.Add(o.sum.Load())
-	if v := o.max.Load(); v > 0 {
-		for {
-			cur := h.max.Load()
-			if v <= cur || h.max.CompareAndSwap(cur, v) {
-				break
-			}
-		}
-	}
-	if mp := o.minPlus.Load(); mp != 0 {
-		for {
-			cur := h.minPlus.Load()
-			if (cur != 0 && mp >= cur) || h.minPlus.CompareAndSwap(cur, mp) {
-				break
-			}
-		}
-	}
-}
-
-// Reset zeroes the histogram.
-func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-	h.max.Store(0)
-	h.minPlus.Store(0)
 }
 
 // Count reports the number of recorded samples.

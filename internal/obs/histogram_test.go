@@ -80,23 +80,6 @@ func TestHistogramMinTracksSmallest(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeAndReset(t *testing.T) {
-	var a, b Histogram
-	a.Record(2)
-	a.Record(1000)
-	b.Record(1)
-	b.Record(8)
-	a.Merge(&b)
-	s := a.Snapshot()
-	if s.Count != 4 || s.Sum != 1011 || s.Min != 1 || s.Max != 1000 {
-		t.Fatalf("merged snapshot %+v", s)
-	}
-	a.Reset()
-	if s := a.Snapshot(); s.Count != 0 || s.Sum != 0 || len(s.Buckets) != 0 {
-		t.Fatalf("reset snapshot %+v", s)
-	}
-}
-
 func TestHistogramConcurrentRecord(t *testing.T) {
 	var h Histogram
 	const workers, per = 8, 2000
@@ -135,7 +118,7 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 // estimator on the configurations that used to go wrong: single-sample
 // snapshots, all mass in one bucket, ranks landing exactly on a bucket
 // boundary, the zero bucket, the top bucket, and min/max clamping on
-// merged histograms. These quantiles are the gated P95/P99 numbers of the
+// snapshots spanning several buckets. These quantiles are the gated P95/P99 numbers of the
 // serving benchmark, so the expectations are exact, not approximate.
 func TestQuantileEdgeCases(t *testing.T) {
 	record := func(vs ...int64) HistogramSnapshot {
@@ -189,32 +172,33 @@ func TestQuantileEdgeCases(t *testing.T) {
 	}
 }
 
-// TestQuantileAfterMerge checks min/max clamping when buckets were merged:
-// the merged snapshot's Min/Max span both sources, and quantiles landing in
-// either source's bucket stay within the observed range.
-func TestQuantileAfterMerge(t *testing.T) {
-	var a, b Histogram
+// TestQuantileTwoClusters checks min/max clamping on a snapshot whose
+// samples sit in two far-apart buckets: Min/Max span both clusters, and
+// quantiles landing in either cluster's bucket stay within the observed
+// range.
+func TestQuantileTwoClusters(t *testing.T) {
+	var h Histogram
 	for i := 0; i < 10; i++ {
-		a.Record(5) // bucket [4,8)
+		h.Record(5) // bucket [4,8)
 	}
-	b.Record(1000) // bucket [512,1024)
-	a.Merge(&b)
-	s := a.Snapshot()
+	h.Record(1000) // bucket [512,1024)
+	s := h.Snapshot()
 	if s.Min != 5 || s.Max != 1000 || s.Count != 11 {
-		t.Fatalf("merged snapshot %+v", s)
+		t.Fatalf("snapshot %+v", s)
 	}
 	if got := s.Quantile(0.5); got != 5 {
-		t.Errorf("merged p50 = %d want 5", got)
+		t.Errorf("p50 = %d want 5", got)
 	}
 	if got := s.Quantile(1); got != 1000 {
-		t.Errorf("merged p100 = %d want 1000", got)
+		t.Errorf("p100 = %d want 1000", got)
 	}
-	// The tail quantile lands in b's bucket; geometric interpolation must
-	// not exceed the observed max even though the bucket reaches 1024.
+	// The tail quantile lands in the upper cluster's bucket; geometric
+	// interpolation must not exceed the observed max even though the bucket
+	// reaches 1024.
 	if got := s.Quantile(0.99); got < 512 || got > 1000 {
-		t.Errorf("merged p99 = %d want within [512, 1000]", got)
+		t.Errorf("p99 = %d want within [512, 1000]", got)
 	}
-	// Quantiles are monotone in q on the merged snapshot.
+	// Quantiles are monotone in q.
 	prev := int64(-1)
 	for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1} {
 		v := s.Quantile(q)

@@ -7,9 +7,8 @@
 // Design constraints, in order:
 //
 //   - Recording must be wait-free. Counters and gauges are single atomics;
-//     histograms reuse obs.Histogram's wait-free record path; the rolling
-//     histogram's window rotation is a CAS, not a lock. A request goroutine
-//     never blocks on another request's measurement.
+//     histograms reuse obs.Histogram's wait-free record path. A request
+//     goroutine never blocks on another request's measurement.
 //   - Registration is locked and therefore forbidden on hot paths: register
 //     once at wiring time, hold the *Counter/*Gauge, record forever. The
 //     parconnvet obsrecorder check enforces that no Registry method is
@@ -295,23 +294,6 @@ func (r *Registry) HistogramFunc(name, help string, ls Labels, scale float64, fn
 	}
 	s.hist = fn
 	s.scale = scale
-}
-
-// RollingQuantilesNS exposes rolling latency quantiles of rh as gauges in
-// seconds, one series per q with a quantile label appended to ls. One
-// snapshot is taken per gauge read; the rolling window advances with the
-// histogram's own clock.
-func (r *Registry) RollingQuantilesNS(name, help string, ls Labels, rh *RollingHistogram, qs ...float64) {
-	for _, q := range qs {
-		q := q
-		r.GaugeFunc(name, help, append(append(Labels{}, ls...), Label{Key: "quantile", Value: trimFloat(q)}),
-			func() float64 { return float64(rh.Quantile(q)) * 1e-9 })
-	}
-}
-
-// trimFloat formats a quantile label value ("0.99", not "0.990000").
-func trimFloat(f float64) string {
-	return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.6f", f), "0"), ".")
 }
 
 // exposedFamily is the lock-free view exposition iterates: family metadata

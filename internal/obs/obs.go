@@ -1,9 +1,9 @@
 // Package obs is the structured observability layer of the connectivity
 // engine: a Recorder interface receiving per-run, per-level, per-round, and
 // per-phase events from the decomposition recursion, plus the sinks that
-// consume it in-process: an in-memory Trace, a JSON-lines writer, live
-// Progress and a FlightRecorder ring. The cumulative /metrics series are a
-// Recorder in internal/obs/metrics. The paper's whole evaluation (§5,
+// consume it in-process: an in-memory Trace, a JSON-lines writer and a
+// FlightRecorder ring, whose newest events show where a live run is. The
+// cumulative /metrics series are a Recorder in internal/obs/metrics. The paper's whole evaluation (§5,
 // Figures 3-7) is built on exactly these measurements — frontier sizes, cut
 // fractions, phase breakdowns, geometric edge decay across contraction
 // levels — so the event stream is both the bench harness's data source and

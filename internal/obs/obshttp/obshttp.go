@@ -1,6 +1,6 @@
 // Package obshttp is the live read side of the observability layer: a
-// debug HTTP server exposing the engine's cumulative metrics, its current
-// position and flight-recorder tail while a run executes, alongside the
+// debug HTTP server exposing the engine's cumulative metrics and its
+// flight-recorder tail while a run executes, alongside the
 // stdlib's pprof endpoints. Attach a State's Recorder to a run
 // (Options.Recorder) and mount its Handler:
 //
@@ -15,8 +15,9 @@
 //	                registry: engine series (runs, levels, rounds, per-phase
 //	                seconds, counters; see metrics.EngineRecorder), runtime
 //	                series, and whatever the command adds
-//	/debug/parconn  JSON snapshot: tool, environment, progress, and recent
-//	                events (flight tail)
+//	/debug/parconn  JSON snapshot: tool, environment, and recent events
+//	                (flight tail; its newest events show where a live run
+//	                is: run, level, round, frontier, phase)
 //	/debug/pprof/   CPU/heap/goroutine profiles; the coordinating
 //	                goroutine's samples are labelled parconn_level/
 //	                parconn_phase (pool workers' are not)
@@ -37,13 +38,12 @@ import (
 	"parconn/internal/obs/metrics"
 )
 
-// State bundles the read-side sinks one process exposes: live progress,
-// the flight-recorder tail, and the Prometheus-text metrics registry served
+// State bundles the read-side sinks one process exposes: the
+// flight-recorder tail and the Prometheus-text metrics registry served
 // at /metrics. One State serves any number of sequential or concurrent
 // runs.
 type State struct {
-	Progress *obs.Progress
-	Flight   *obs.FlightRecorder
+	Flight *obs.FlightRecorder
 	// Metrics is the process metrics registry, pre-seeded with the engine
 	// series fed by Recorder and with runtime series (goroutines, heap, GC),
 	// and exposed at /metrics on Handler's
@@ -60,14 +60,13 @@ type State struct {
 // snapshot; flightCap bounds the flight-recorder ring (0 means the default).
 func NewState(tool string, flightCap int) *State {
 	s := &State{
-		Progress: obs.NewProgress(),
-		Flight:   obs.NewFlightRecorder(flightCap),
-		Metrics:  metrics.New(),
-		tool:     tool,
-		env:      obs.CaptureEnv(),
+		Flight:  obs.NewFlightRecorder(flightCap),
+		Metrics: metrics.New(),
+		tool:    tool,
+		env:     obs.CaptureEnv(),
 	}
 	metrics.RegisterRuntime(s.Metrics)
-	s.rec = obs.Multi(s.Progress, s.Flight, metrics.NewEngineRecorder(s.Metrics))
+	s.rec = obs.Multi(s.Flight, metrics.NewEngineRecorder(s.Metrics))
 	return s
 }
 
@@ -77,10 +76,9 @@ func (s *State) Recorder() obs.Recorder { return s.rec }
 
 // Snapshot is the JSON document served at /debug/parconn.
 type Snapshot struct {
-	Tool     string               `json:"tool,omitempty"`
-	Env      obs.Env              `json:"env"`
-	Progress obs.ProgressSnapshot `json:"progress"`
-	Flight   FlightSnapshot       `json:"flight"`
+	Tool   string         `json:"tool,omitempty"`
+	Env    obs.Env        `json:"env"`
+	Flight FlightSnapshot `json:"flight"`
 }
 
 // FlightSnapshot is the flight-recorder tail in JSONL event encoding.
@@ -104,10 +102,9 @@ func (s *State) Snapshot() (Snapshot, error) {
 		fs.Events = append(fs.Events, json.RawMessage(buf[:len(buf)-1]))
 	}
 	return Snapshot{
-		Tool:     s.tool,
-		Env:      s.env,
-		Progress: s.Progress.Snapshot(),
-		Flight:   fs,
+		Tool:   s.tool,
+		Env:    s.env,
+		Flight: fs,
 	}, nil
 }
 

@@ -1,6 +1,7 @@
 package obshttp
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -22,6 +23,25 @@ func drive(rec obs.Recorder) {
 	rec.LevelEnd(obs.LevelEnd{Level: 0, Vertices: 100, EdgesIn: 400, EdgesCut: 40, EdgesOut: 20, Components: 30, Rounds: 1})
 	rec.Phase(obs.Phase{Level: 0, Name: obs.PhaseContract, Duration: 2 * time.Microsecond})
 	rec.RunEnd(obs.RunEnd{Components: 3, Duration: 20 * time.Microsecond})
+}
+
+// flightEvents decodes a snapshot's flight tail back into typed events. The
+// snapshot's RawMessages may be re-indented, so each is compacted onto one
+// JSONL line first.
+func flightEvents(t *testing.T, snap Snapshot) []obs.Event {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, raw := range snap.Flight.Events {
+		if err := json.Compact(&buf, raw); err != nil {
+			t.Fatal(err)
+		}
+		buf.WriteByte('\n')
+	}
+	events, err := obs.ParseJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events
 }
 
 func TestDebugParconnEndpoint(t *testing.T) {
@@ -49,11 +69,13 @@ func TestDebugParconnEndpoint(t *testing.T) {
 	if snap.Tool != "obshttp_test" || snap.Env.IsZero() {
 		t.Fatalf("snapshot header %+v %+v", snap.Tool, snap.Env)
 	}
-	if snap.Progress.RunsDone != 1 || snap.Progress.Components != 3 {
-		t.Fatalf("progress %+v", snap.Progress)
-	}
 	if snap.Flight.Dropped != 0 || len(snap.Flight.Events) != 7 {
 		t.Fatalf("flight %d dropped, %d events", snap.Flight.Dropped, len(snap.Flight.Events))
+	}
+	// The finished run shows as the tail's run_end with its component count.
+	events := flightEvents(t, snap)
+	if end, ok := events[len(events)-1].V.(obs.RunEnd); !ok || end.Components != 3 {
+		t.Fatalf("last flight event %+v, want run_end with 3 components", events[len(events)-1])
 	}
 	// Flight events reuse the JSONL encoding, kind-tagged (re-indented by
 	// the snapshot's MarshalIndent).
@@ -112,14 +134,21 @@ func TestServeBindsAndAnswers(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Progress.RunsStarted != 1 {
-		t.Fatalf("progress %+v", snap.Progress)
+	starts := 0
+	for _, ev := range flightEvents(t, snap) {
+		if ev.Kind == obs.KindRunStart {
+			starts++
+		}
+	}
+	if starts != 1 {
+		t.Fatalf("flight tail holds %d run_start events, want 1", starts)
 	}
 }
 
 func TestSnapshotDuringLiveRun(t *testing.T) {
 	// A snapshot taken mid-run (between coordinator emissions) must show the
-	// in-flight position without waiting for the run to finish.
+	// in-flight position without waiting for the run to finish: the tail
+	// ends with the current round, and no run_end follows the run_start.
 	state := NewState("obshttp_test", 0)
 	rec := state.Recorder()
 	rec.RunStart(obs.RunStart{Algorithm: "decomp-arb-CC", Vertices: 10, Edges: 20})
@@ -130,8 +159,15 @@ func TestSnapshotDuringLiveRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !snap.Progress.Running || snap.Progress.Level != 0 || snap.Progress.Round != 2 || snap.Progress.Frontier != 5 {
-		t.Fatalf("mid-run progress %+v", snap.Progress)
+	events := flightEvents(t, snap)
+	for _, ev := range events {
+		if ev.Kind == obs.KindRunEnd {
+			t.Fatalf("mid-run tail holds a run_end: %+v", events)
+		}
+	}
+	last, ok := events[len(events)-1].V.(obs.Round)
+	if !ok || last.Level != 0 || last.Round != 2 || last.Frontier != 5 {
+		t.Fatalf("mid-run tail ends with %+v, want level-0 round 2 with frontier 5", events[len(events)-1])
 	}
 }
 

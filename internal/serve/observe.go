@@ -1,5 +1,5 @@
 // Request-plane observability for the serve package: per-request trace IDs,
-// an error taxonomy as labeled counters, rolling latency quantiles, and
+// an error taxonomy as labeled counters, latency histograms, and
 // head-sampled request spans. All of it hangs off an Observer so the plain
 // Server keeps working with zero observability dependencies — attach one via
 // Config.Observer to light it up.
@@ -60,10 +60,6 @@ type ObserverConfig struct {
 	// requests form an unbiased 1-in-N slice of arrivals). 0 disables
 	// sampling even when Spans is set.
 	SampleEvery int
-	// RollingWindow and RollingWindows size the rolling-quantile ring
-	// (defaults: 1s windows, 60 of them — "P99 over the last minute").
-	RollingWindow  time.Duration
-	RollingWindows int
 }
 
 // Observer instruments Server request handling. One Observer belongs to one
@@ -79,14 +75,13 @@ type Observer struct {
 	requests map[string]*metrics.Counter            // endpoint -> arrivals
 	errors   map[string]map[string]*metrics.Counter // endpoint -> class -> count
 	latency  map[string]*obs.Histogram              // endpoint -> latency since start, ns
-	rolling  map[string]*metrics.RollingHistogram   // endpoint -> rolling latency
 	sampled  *metrics.Counter
 	inflight *metrics.Gauge
 }
 
 // NewObserver builds an Observer and pre-registers every request-plane
 // series (all endpoints and error classes appear in /metrics at zero from
-// the first scrape, so dashboards and the SLO scraper never key-miss):
+// the first scrape, so dashboards never key-miss):
 //
 //	parconn_http_requests_total{endpoint}            arrivals
 //	parconn_http_errors_total{endpoint,class}        non-2xx answers by taxonomy
@@ -94,8 +89,10 @@ type Observer struct {
 //	                                                 process start
 //	parconn_http_inflight_requests                   currently executing
 //	parconn_http_spans_sampled_total                 spans emitted
-//	parconn_http_rolling_latency_seconds{endpoint,quantile}  P50/P95/P99
-//	                                                 over the rolling span
+//
+// The latency histogram is cumulative; latency over a recent interval
+// ("P99 over the last minute") is the difference of two scrapes of its
+// _bucket and _count series, which is how a Prometheus rate() reads it.
 func NewObserver(cfg ObserverConfig) *Observer {
 	if cfg.Metrics == nil {
 		panic("serve: ObserverConfig.Metrics is required")
@@ -106,7 +103,6 @@ func NewObserver(cfg ObserverConfig) *Observer {
 		requests: make(map[string]*metrics.Counter, len(observedEndpoints)),
 		errors:   make(map[string]map[string]*metrics.Counter, len(observedEndpoints)),
 		latency:  make(map[string]*obs.Histogram, len(observedEndpoints)),
-		rolling:  make(map[string]*metrics.RollingHistogram, len(observedEndpoints)),
 	}
 	if cfg.Spans != nil && cfg.SampleEvery > 0 {
 		o.sampleEvery = uint64(cfg.SampleEvery)
@@ -126,11 +122,6 @@ func NewObserver(cfg ObserverConfig) *Observer {
 		o.latency[ep] = h
 		cfg.Metrics.HistogramNS("parconn_http_request_duration_seconds",
 			"Request latency since process start.", metrics.L("endpoint", ep), h)
-		rh := metrics.NewRollingHistogram(cfg.RollingWindow, cfg.RollingWindows)
-		o.rolling[ep] = rh
-		cfg.Metrics.RollingQuantilesNS("parconn_http_rolling_latency_seconds",
-			"Request latency quantiles over the rolling window span.",
-			metrics.L("endpoint", ep), rh, 0.50, 0.95, 0.99)
 	}
 	o.inflight = cfg.Metrics.Gauge("parconn_http_inflight_requests",
 		"Requests currently executing.", nil)
@@ -157,12 +148,6 @@ func (o *Observer) bind(s *Server) {
 			}
 			return float64(p.epoch)
 		})
-}
-
-// Rolling returns the rolling latency histogram of one endpoint (nil for
-// unobserved names). Exposed for tests and in-process SLO checks.
-func (o *Observer) Rolling(endpoint string) *metrics.RollingHistogram {
-	return o.rolling[endpoint]
 }
 
 // spanInfo rides the request context so handlers can annotate the span the
@@ -245,7 +230,7 @@ func (o *Observer) traceID(r *http.Request, seq uint64) string {
 
 // observe is the request middleware: counts the arrival, stamps the trace
 // ID, runs the handler with a status-capturing writer, then records
-// latency (cumulative + rolling), taxonomy errors, and — for head-sampled
+// latency, taxonomy errors, and — for head-sampled
 // requests — a span through the obs sink.
 func (o *Observer) observe(endpoint string, h http.HandlerFunc, w http.ResponseWriter, r *http.Request) {
 	seq := o.seq.Add(1)
@@ -268,7 +253,6 @@ func (o *Observer) observe(endpoint string, h http.HandlerFunc, w http.ResponseW
 	dur := time.Since(start)
 
 	o.latency[endpoint].Record(dur.Nanoseconds())
-	o.rolling[endpoint].Record(dur.Nanoseconds())
 	status := sw.status
 	if status == 0 {
 		status = http.StatusOK

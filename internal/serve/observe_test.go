@@ -41,6 +41,19 @@ func scrape(t *testing.T, reg *metrics.Registry) map[string]float64 {
 	return parsed
 }
 
+// finiteBucketFilled reports whether some finite-le _bucket series of the
+// histogram family name, restricted to the rendered label set labels,
+// counts at least one sample.
+func finiteBucketFilled(parsed map[string]float64, name, labels string) bool {
+	prefix := name + "_bucket{" + labels + `,le="`
+	for key, v := range parsed {
+		if strings.HasPrefix(key, prefix) && !strings.HasSuffix(key, `le="+Inf"}`) && v > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 func spansOf(t *testing.T, fr *obs.FlightRecorder) []obs.Span {
 	t.Helper()
 	evs, _ := fr.Snapshot()
@@ -82,10 +95,14 @@ func TestObserverCountsRequests(t *testing.T) {
 	if got := parsed[`parconn_http_request_duration_seconds_count{endpoint="component"}`]; got != 3 {
 		t.Errorf("duration count = %v, want 3", got)
 	}
-	// Rolling quantile gauges exist and are positive right after traffic.
-	p99 := parsed[`parconn_http_rolling_latency_seconds{endpoint="component",quantile="0.99"}`]
-	if p99 <= 0 {
-		t.Errorf("rolling p99 = %v, want > 0", p99)
+	// The same samples landed in a finite latency bucket with a positive
+	// total: the series a scrape-to-scrape difference reads recent
+	// quantiles from.
+	if !finiteBucketFilled(parsed, `parconn_http_request_duration_seconds`, `endpoint="component"`) {
+		t.Error("no finite component latency bucket holds a sample")
+	}
+	if got := parsed[`parconn_http_request_duration_seconds_sum{endpoint="component"}`]; got <= 0 {
+		t.Errorf("component latency sum = %v, want > 0", got)
 	}
 	if got := parsed["parconn_ready"]; got != 1 {
 		t.Errorf("parconn_ready = %v, want 1", got)

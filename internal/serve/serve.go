@@ -69,8 +69,8 @@ type Config struct {
 	// TopK is how many largest components /v1/stats reports (0 = 5).
 	TopK int
 	// Observer, when set, instruments every endpoint but healthz with
-	// request counters, error-taxonomy counters, latency histograms and
-	// rolling quantiles, trace IDs, and head-sampled spans, and registers
+	// request counters, error-taxonomy counters, latency histograms, trace
+	// IDs, and head-sampled spans, and registers
 	// the readiness and epoch gauges (see NewObserver). Nil serves the bare
 	// handlers.
 	Observer *Observer

@@ -71,13 +71,6 @@ type FlightRecorder = obs.FlightRecorder
 // selects the default capacity).
 func NewFlightRecorder(n int) *FlightRecorder { return obs.NewFlightRecorder(n) }
 
-// Progress exposes the engine's current run/level/round/phase through
-// atomics, so a concurrent reader never blocks the coordinator.
-type Progress = obs.Progress
-
-// NewProgress returns an empty live-progress recorder.
-func NewProgress() *Progress { return obs.NewProgress() }
-
 // Env records the execution environment a trace was captured in; traces
 // from mismatched environments are not directly comparable.
 type Env = obs.Env

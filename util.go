@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"parconn/internal/graph"
-	"parconn/internal/unionfind"
 )
 
 // VerifyLabeling checks in O(n + m) that labels is a correct canonical
@@ -38,45 +37,6 @@ func ReadBinaryGraph(r io.Reader) (*Graph, error) {
 		return nil, err
 	}
 	return &Graph{g: gg}, nil
-}
-
-// UnionFind is an incremental connectivity structure over a fixed vertex
-// set: insert edges with Union and query with Find/Connected at any point.
-// It is safe for concurrent use and is the structure behind the library's
-// spanning-forest baselines (lock-free linking with CAS, path halving).
-//
-// For a static graph, ConnectedComponents is faster; UnionFind is for
-// streaming / incremental settings.
-type UnionFind struct {
-	u *unionfind.Concurrent
-	n int
-}
-
-// NewUnionFind returns a structure over n isolated vertices.
-func NewUnionFind(n int) *UnionFind {
-	return &UnionFind{u: unionfind.NewConcurrent(n), n: n}
-}
-
-// Union connects u and v; it reports whether they were previously in
-// different components.
-func (s *UnionFind) Union(u, v int32) bool { return s.u.Union(u, v) }
-
-// Find returns the current canonical vertex of v's component. Canonical
-// vertices may change as edges are inserted.
-func (s *UnionFind) Find(v int32) int32 { return s.u.Find(v) }
-
-// Connected reports whether u and v are currently in the same component.
-// Under concurrent Union calls the answer reflects some linearization.
-func (s *UnionFind) Connected(u, v int32) bool { return s.u.Find(u) == s.u.Find(v) }
-
-// Labels materializes the current components as a canonical labeling. It
-// must not run concurrently with Union.
-func (s *UnionFind) Labels() []int32 {
-	labels := make([]int32, s.n)
-	for v := range labels {
-		labels[v] = s.u.Find(int32(v))
-	}
-	return labels
 }
 
 // ReadEdgeList parses a SNAP-style whitespace-separated edge list ('#'/'%'

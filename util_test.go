@@ -46,48 +46,3 @@ func TestBinaryGraphPublic(t *testing.T) {
 		t.Fatal("garbage accepted")
 	}
 }
-
-func TestUnionFindPublic(t *testing.T) {
-	uf := NewUnionFind(6)
-	if uf.Connected(0, 1) {
-		t.Fatal("fresh vertices connected")
-	}
-	if !uf.Union(0, 1) || !uf.Union(1, 2) {
-		t.Fatal("unions reported duplicate")
-	}
-	if uf.Union(0, 2) {
-		t.Fatal("redundant union reported new")
-	}
-	if !uf.Connected(0, 2) || uf.Connected(0, 3) {
-		t.Fatal("connectivity wrong")
-	}
-	if uf.Find(0) != uf.Find(2) {
-		t.Fatal("find mismatch")
-	}
-	labels := uf.Labels()
-	if labels[0] != labels[2] || labels[0] == labels[3] {
-		t.Fatalf("labels=%v", labels)
-	}
-	// Streaming equivalence: inserting a graph's edges must reproduce
-	// ConnectedComponents' partition.
-	g := Union(LineGraph(40, 1), StarGraph(10))
-	uf2 := NewUnionFind(g.NumVertices())
-	for v := int32(0); int(v) < g.NumVertices(); v++ {
-		for _, w := range g.Neighbors(v) {
-			if w > v {
-				uf2.Union(v, w)
-			}
-		}
-	}
-	want, err := ConnectedComponents(g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := uf2.Labels()
-	if NumComponents(got) != NumComponents(want) {
-		t.Fatal("streaming union-find disagrees")
-	}
-	if err := VerifyLabeling(g, got); err != nil {
-		t.Fatal(err)
-	}
-}
