@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-short bench bench-smoke trace-smoke metrics-smoke perfbench-check perfbench-pairs vet check fmt fmt-check loc repro repro-quick examples clean
+.PHONY: all build test race race-short bench bench-smoke fuzz-smoke trace-smoke metrics-smoke perfbench-check perfbench-pairs vet check fmt fmt-check loc repro repro-quick examples clean
 
 all: check test build
 
@@ -27,6 +27,11 @@ bench:
 # compile or crash without paying for real measurements (the CI lane).
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+
+# Twenty seconds of fuzzing the /v1/batch and /v1/insert body parser
+# against encoding/json (the CI lane); the seed corpus alone runs in go test.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePairs$$' -fuzztime 20s ./internal/serve
 
 # Record an observability trace of one real run, then validate it against
 # the JSONL schema (run/level bracketing, monotone edge decay, known phases).

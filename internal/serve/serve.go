@@ -22,6 +22,10 @@
 //	GET  /v1/healthz             200 once the labeling is published, 503
 //	                             while loading
 //
+// The [[u,v],...] bodies are parsed strictly, and the 200 answers of the
+// four query and insert endpoints are written without reflection
+// (codec.go), byte-for-byte what encoding/json writes.
+//
 // A server with EnableIncremental attached is no longer read-only. Each
 // published epoch is an immutable header (epoch, edge count) pointing at an
 // immutable view: the labeling and its component sizes, so a read is an
@@ -37,6 +41,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -246,10 +251,10 @@ func (s *Server) loaded(w http.ResponseWriter) *published {
 	return p
 }
 
-// vertexParam parses a vertex id query parameter: 400 for missing or
-// non-numeric values, 404 for ids outside [0, n).
-func vertexParam(w http.ResponseWriter, r *http.Request, name string, n int) (int32, bool) {
-	raw := r.URL.Query().Get(name)
+// vertexParam parses the vertex id query parameter name of q: 400 for
+// missing or non-numeric values, 404 for ids outside [0, n).
+func vertexParam(w http.ResponseWriter, q url.Values, name string, n int) (int32, bool) {
+	raw := q.Get(name)
 	if raw == "" {
 		writeError(w, http.StatusBadRequest, "missing query parameter %q", name)
 		return 0, false
@@ -290,12 +295,15 @@ func (s *Server) serveComponent(w http.ResponseWriter, r *http.Request) {
 	if p == nil {
 		return
 	}
-	v, ok := vertexParam(w, r, "v", len(p.view.labels))
+	v, ok := vertexParam(w, r.URL.Query(), "v", len(p.view.labels))
 	if !ok {
 		return
 	}
 	label, size := p.view.component(v)
-	writeJSON(w, http.StatusOK, componentResponse{V: v, Component: label, Size: int(size)})
+	sc := scratchPool.Get().(*scratch)
+	defer sc.put()
+	sc.buf = appendComponent(sc.buf[:0], componentResponse{V: v, Component: label, Size: int(size)})
+	writeBody(w, sc.buf)
 }
 
 // sameResponse answers /v1/same.
@@ -313,15 +321,19 @@ func (s *Server) serveSame(w http.ResponseWriter, r *http.Request) {
 	if p == nil {
 		return
 	}
-	u, ok := vertexParam(w, r, "u", len(p.view.labels))
+	q := r.URL.Query()
+	u, ok := vertexParam(w, q, "u", len(p.view.labels))
 	if !ok {
 		return
 	}
-	v, ok := vertexParam(w, r, "v", len(p.view.labels))
+	v, ok := vertexParam(w, q, "v", len(p.view.labels))
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, sameResponse{U: u, V: v, Same: p.view.labels[u] == p.view.labels[v]})
+	sc := scratchPool.Get().(*scratch)
+	defer sc.put()
+	sc.buf = appendSame(sc.buf[:0], sameResponse{U: u, V: v, Same: p.view.labels[u] == p.view.labels[v]})
+	writeBody(w, sc.buf)
 }
 
 // batchResponse answers /v1/batch: Same[i] corresponds to request pair i.
@@ -338,28 +350,13 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) {
 	if p == nil {
 		return
 	}
-	var pairs [][2]int64
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<22))
-	if err := dec.Decode(&pairs); err != nil {
-		writeError(w, http.StatusBadRequest, "body: want JSON [[u,v],...]: %v", err)
+	sc := scratchPool.Get().(*scratch)
+	defer sc.put()
+	if !s.readPairs(w, r, sc, int64(len(p.view.labels)), "pair") {
 		return
 	}
-	if len(pairs) > s.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge, "batch of %d pairs exceeds limit %d", len(pairs), s.cfg.MaxBatch)
-		return
-	}
-	annotateBatch(r.Context(), len(pairs))
-	n := int64(len(p.view.labels))
-	same := make([]bool, len(pairs))
-	for i, pr := range pairs {
-		u, v := pr[0], pr[1]
-		if u < 0 || u >= n || v < 0 || v >= n {
-			writeError(w, http.StatusNotFound, "pair %d: vertex outside [0, %d)", i, n)
-			return
-		}
-		same[i] = p.view.labels[u] == p.view.labels[v]
-	}
-	writeJSON(w, http.StatusOK, batchResponse{Count: len(same), Same: same})
+	sc.buf = appendBatch(sc.buf[:0], sc.pairs, p.view.labels)
+	writeBody(w, sc.buf)
 }
 
 // insertResponse answers /v1/insert: how many edges the batch carried, how
@@ -384,39 +381,24 @@ func (s *Server) serveInsert(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotImplemented, "incremental updates not enabled")
 		return
 	}
-	var pairs [][2]int64
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<22))
-	if err := dec.Decode(&pairs); err != nil {
-		writeError(w, http.StatusBadRequest, "body: want JSON [[u,v],...]: %v", err)
+	sc := scratchPool.Get().(*scratch)
+	defer sc.put()
+	if !s.readPairs(w, r, sc, int64(inc.Vertices()), "edge") {
 		return
 	}
-	if len(pairs) > s.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge, "batch of %d edges exceeds limit %d", len(pairs), s.cfg.MaxBatch)
-		return
+	sc.edges = sc.edges[:0]
+	for _, pr := range sc.pairs {
+		sc.edges = append(sc.edges, parconn.Edge{U: int32(pr[0]), V: int32(pr[1])})
 	}
-	annotateBatch(r.Context(), len(pairs))
-	n := int64(inc.Vertices())
-	edges := make([]parconn.Edge, len(pairs))
-	for i, pr := range pairs {
-		if pr[0] < 0 || pr[0] >= n || pr[1] < 0 || pr[1] >= n {
-			writeError(w, http.StatusNotFound, "edge %d: vertex outside [0, %d)", i, n)
-			return
-		}
-		edges[i] = parconn.Edge{U: int32(pr[0]), V: int32(pr[1])}
-	}
-	merged, p, err := s.insert(inc, edges)
+	merged, p, err := s.insert(inc, sc.edges)
 	if err != nil {
 		// Unreachable after the range check above, but never 500 on input.
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	annotateEpoch(r.Context(), p.epoch)
-	writeJSON(w, http.StatusOK, insertResponse{
-		Inserted:   len(edges),
-		Merged:     merged,
-		Epoch:      p.epoch,
-		Components: p.view.components,
-	})
+	sc.buf = appendInsert(sc.buf[:0], insertResponse{Inserted: len(sc.edges), Merged: merged, Epoch: p.epoch, Components: p.view.components})
+	writeBody(w, sc.buf)
 }
 
 // statsResponse answers /v1/stats.
